@@ -23,9 +23,9 @@ from .mathieu import (
     RESIDUAL_TOL,
     CharacteristicValue,
     FourierSolution,
-    MathieuParams,
     SymmetryClass,
     char_value,
+    char_values,
     equation_residual,
     eval_theta,
     family_for_label,
@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_TOL",
     "FourierSolution",
     "IntegrationError",
-    "MathieuParams",
     "PairingGap",
     "RESIDUAL_TOL",
     "RadialRegime",
@@ -69,6 +68,7 @@ __all__ = [
     "SymmetryClass",
     "angular_energy",
     "char_value",
+    "char_values",
     "classify_channels",
     "count_open_channels",
     "critical_table",

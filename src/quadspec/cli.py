@@ -19,7 +19,7 @@ from pathlib import Path
 from .criticality import critical_table, log_gap, pairing_gap
 from .errors import SolverError
 from .mathieu import DEFAULT_TOL, SymmetryClass, char_value, parse_label
-from .model import classify_channels, count_open_channels, to_mathieu
+from .model import Regime, classify_channels, to_mathieu
 from .oracle import oracle_char_value
 
 
@@ -121,7 +121,7 @@ def _cmd_table(args):
 
 def _cmd_channels(args):
     classified = classify_channels(args.xi, args.max_order, args.tol)
-    count = count_open_channels(args.xi, args.max_order, args.tol)
+    count = sum(radial.regime is Regime.UNBOUNDED_BELOW for _, radial in classified)
     columns = ["xi", "max_order", "count", "label", "class", "order",
                "e_theta", "alpha", "regime"]
     rows = [

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import BracketError
-from .mathieu import DEFAULT_TOL, SymmetryClass, char_value, family_for_label
+from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, family_for_label
 
 #: Scan step in q used to bracket the zero crossing of a curve.
 SCAN_DQ = 0.5
@@ -28,18 +28,12 @@ TIGHT_ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(Mode):
     """Root of one characteristic curve, with xi_c = q_c / 4."""
 
-    symmetry: SymmetryClass
-    order: int
     q_c: float
     xi_c: float
     residual: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.symmetry.letter}{self.order}"
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ def find_critical(
         raise ValueError("tol must be positive")
 
     def curve(q):
-        return char_value(symmetry, m, q).value
+        return char_value(symmetry, m, q, tol).value
 
     if symmetry is SymmetryClass.EVEN_PI and m == 0:
         return CriticalPoint(symmetry, 0, 0.0, 0.0, abs(curve(0.0)))
@@ -94,9 +88,8 @@ def find_critical(
             break
         prev_q, prev_f = q, f
     if q_c is None:
-        label = f"{symmetry.letter}{m}"
         raise BracketError(
-            f"no zero crossing of {label} found for q in [0, {q_max}] "
+            f"no zero crossing of {Mode(symmetry, m).label} found for q in [0, {q_max}] "
             f"(scanned in steps of {SCAN_DQ})"
         )
     return CriticalPoint(symmetry, m, q_c, q_c / 4.0, abs(curve(q_c)))

@@ -150,35 +150,30 @@ def parse_label(text: str) -> tuple[SymmetryClass, int]:
     return family_for_label(stripped[0], m), m
 
 
-@dataclass(frozen=True)
-class MathieuParams:
-    """The (a, q) parameter pair of the Mathieu equation, q >= 0."""
-
-    a: float
-    q: float
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
-
-
-@dataclass(frozen=True)
-class CharacteristicValue:
-    """A converged point a_m(q) or b_m(q) on one characteristic curve."""
+@dataclass(frozen=True, eq=False)
+class Mode:
+    """Family and order of one spectrum record; eq=False lets subclasses pick equality."""
 
     symmetry: SymmetryClass
     order: int
+
+    @property
+    def label(self) -> str:
+        """Conventional shorthand such as 'a0' or 'b3'."""
+        return f"{self.symmetry.letter}{self.order}"
+
+
+@dataclass(frozen=True)
+class CharacteristicValue(Mode):
+    """A converged point a_m(q) or b_m(q) on one characteristic curve."""
+
     q: float
     value: float
     truncation: int
 
-    @property
-    def label(self) -> str:
-        return f"{self.symmetry.letter}{self.order}"
-
 
 @dataclass(frozen=True, eq=False)
-class FourierSolution:
+class FourierSolution(Mode):
     """Truncated Fourier expansion of one periodic eigenfunction.
 
     ``coefficients[k]`` multiplies cos(h_k * x) for the even families and
@@ -186,27 +181,22 @@ class FourierSolution:
     ``value`` is the characteristic value of the eigenpair.
     """
 
-    symmetry: SymmetryClass
-    order: int
     q: float
     value: float
     coefficients: np.ndarray
     truncation: int
 
-    @property
-    def label(self) -> str:
-        return f"{self.symmetry.letter}{self.order}"
-
     def harmonics(self) -> np.ndarray:
         return self.symmetry.harmonics(len(self.coefficients))
 
 
-def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> None:
-    symmetry.rank_of(m)  # raises on an invalid order
+def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
+    rank = symmetry.rank_of(m)  # raises on an invalid order
     if q < 0:
         raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    return rank
 
 
 def _bands(symmetry: SymmetryClass, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,46 +223,44 @@ def _initial_truncation(m: int, q: float) -> int:
     return max(32, m + math.ceil(2.0 * math.sqrt(q)) + 16)
 
 
-def _eigenvalue(symmetry: SymmetryClass, q: float, n: int, rank: int) -> float:
+def _eigensolve(symmetry: SymmetryClass, q: float, n: int, ranks: tuple[int, int],
+                want_vectors: bool) -> tuple[list[float], np.ndarray | None]:
+    """Ascending eigenvalues of ranks lo..hi of the order-n truncation, and
+    their unit eigenvectors as columns if ``want_vectors`` (else None)."""
     diag, off = _bands(symmetry, q, n)
-    w = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(rank, rank),
+    result = eigh_tridiagonal(
+        diag, off, eigvals_only=not want_vectors, select="i", select_range=ranks,
         tol=_EIG_ABSTOL,
     )
-    return float(w[0])
+    if want_vectors:
+        return result[0].tolist(), result[1]
+    return result.tolist(), None
 
 
-def _eigenpair(symmetry: SymmetryClass, q: float, n: int, rank: int):
-    diag, off = _bands(symmetry, q, n)
-    w, v = eigh_tridiagonal(
-        diag, off, select="i", select_range=(rank, rank), tol=_EIG_ABSTOL,
-    )
-    return float(w[0]), v[:, 0]
-
-
-def _converge(symmetry, m, q, tol, want_vector):
-    rank = symmetry.rank_of(m)
-    n = min(_initial_truncation(m, q), MAX_TRUNCATION // 2)
-    prev = _eigenvalue(symmetry, q, n, rank)
-    cur, vec = prev, None
+def _converge(symmetry, ranks, q, tol, want_vectors):
+    """Values, vectors (or None) and truncation of the first doubling step
+    at which every rank in ``ranks`` moved by less than ``tol`` and, with
+    ``want_vectors``, every eigenvector's last coefficient is <= TAIL_TOL
+    of its largest."""
+    n = min(_initial_truncation(symmetry.order_at(ranks[1]), q), MAX_TRUNCATION // 2)
+    cur, _ = _eigensolve(symmetry, q, n, ranks, False)
     while 2 * n <= MAX_TRUNCATION:
         n *= 2
-        if want_vector:
-            cur, vec = _eigenpair(symmetry, q, n, rank)
-        else:
-            cur = _eigenvalue(symmetry, q, n, rank)
-        stable = abs(cur - prev) < tol
-        if stable and not want_vector:
-            return cur, None, n
-        if stable and abs(vec[-1]) <= TAIL_TOL * np.max(np.abs(vec)):
-            return cur, vec, n
         prev = cur
-    label = f"{symmetry.letter}{m}"
+        cur, vecs = _eigensolve(symmetry, q, n, ranks, want_vectors)
+        if all(abs(c - p) < tol for c, p in zip(cur, prev)) and (
+            vecs is None
+            or (np.abs(vecs[-1]) <= TAIL_TOL * np.abs(vecs).max(axis=0)).all()
+        ):
+            return cur, vecs, n
+    shifts = [abs(c - p) for c, p in zip(cur, prev)]
+    worst = shifts.index(max(shifts))
+    label = Mode(symmetry, symmetry.order_at(ranks[0] + worst)).label
     raise ConvergenceError(
         f"characteristic value {label}(q={q}) did not stabilize to {tol} "
         f"within truncation {MAX_TRUNCATION}; last two iterates "
-        f"{prev!r} and {cur!r}",
-        last_two=(prev, cur),
+        f"{prev[worst]!r} and {cur[worst]!r}",
+        last_two=(prev[worst], cur[worst]),
     )
 
 
@@ -288,9 +276,28 @@ def char_value(
     Raises ValueError for an invalid (symmetry, m) pair or q < 0, and
     ConvergenceError if the doubling hits the truncation cap.
     """
-    _validate(symmetry, m, q, tol)
-    value, _, n = _converge(symmetry, m, q, tol, want_vector=False)
-    return CharacteristicValue(symmetry, m, q, value, n)
+    rank = _validate(symmetry, m, q, tol)
+    values, _, n = _converge(symmetry, (rank, rank), q, tol, want_vectors=False)
+    return CharacteristicValue(symmetry, m, q, values[0], n)
+
+
+def char_values(
+    symmetry: SymmetryClass, max_order: int, q: float, tol: float = DEFAULT_TOL
+) -> list[CharacteristicValue]:
+    """Characteristic values of every order of one family up to max_order.
+
+    All ranks share one eigensolve per doubling step and the truncation
+    at which the last of them settled.  Raises like :func:`char_value`.
+    """
+    _validate(symmetry, symmetry.first_order, q, tol)
+    top = (max_order - symmetry.first_order) // 2
+    if top < 0:
+        return []
+    values, _, n = _converge(symmetry, (0, top), q, tol, want_vectors=False)
+    return [
+        CharacteristicValue(symmetry, symmetry.order_at(rank), q, value, n)
+        for rank, value in enumerate(values)
+    ]
 
 
 def fourier_solution(
@@ -302,16 +309,23 @@ def fourier_solution(
     system, scaled so that the integral of Theta^2 over [0, 2*pi] is pi
     and signed so that the leading nonzero coefficient is positive.
     """
-    _validate(symmetry, m, q, tol)
-    value, vec, n = _converge(symmetry, m, q, tol, want_vector=True)
-    vec = vec / np.linalg.norm(vec)
-    coeffs = vec.copy()
+    rank = _validate(symmetry, m, q, tol)
+    values, vecs, n = _converge(symmetry, (rank, rank), q, tol, want_vectors=True)
+    coeffs = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if symmetry is SymmetryClass.EVEN_PI:
         coeffs[0] /= _SQRT2
     nonzero = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
     if coeffs[nonzero[0]] < 0:
         coeffs = -coeffs
-    return FourierSolution(symmetry, m, q, value, coeffs, n)
+    return FourierSolution(symmetry, m, q, values[0], coeffs, n)
+
+
+def _basis(sol: FourierSolution, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The angles as an array and the solution's basis functions at them."""
+    th = np.asarray(theta, dtype=float)
+    phases = np.multiply.outer(th, sol.harmonics())
+    basis = np.cos(phases) if sol.symmetry.parity == "even" else np.sin(phases)
+    return th, basis
 
 
 def eval_theta(sol: FourierSolution, theta) -> float | np.ndarray:
@@ -320,9 +334,7 @@ def eval_theta(sol: FourierSolution, theta) -> float | np.ndarray:
     Accepts a scalar or an array of angles; periodic in theta with the
     family period by construction of the Fourier form.
     """
-    th = np.asarray(theta, dtype=float)
-    phases = np.multiply.outer(th, sol.harmonics())
-    basis = np.cos(phases) if sol.symmetry.parity == "even" else np.sin(phases)
+    th, basis = _basis(sol, theta)
     values = basis @ sol.coefficients
     if th.ndim == 0:
         return float(values)
@@ -331,10 +343,8 @@ def eval_theta(sol: FourierSolution, theta) -> float | np.ndarray:
 
 def equation_residual(sol: FourierSolution, theta) -> float | np.ndarray:
     """|Theta'' + (a - 2 q cos 2 theta) Theta| at the given angles."""
-    th = np.asarray(theta, dtype=float)
+    th, basis = _basis(sol, theta)
     h = sol.harmonics()
-    phases = np.multiply.outer(th, h)
-    basis = np.cos(phases) if sol.symmetry.parity == "even" else np.sin(phases)
     second = -(basis @ (h * h * sol.coefficients))
     residual = np.abs(
         second + (sol.value - 2.0 * sol.q * np.cos(2.0 * th)) * (basis @ sol.coefficients)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .mathieu import DEFAULT_TOL, SymmetryClass, char_value
+from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, char_values
 
 #: Half-width of the E band treated as exactly critical.  Looser than the
 #: solver tolerance, far tighter than any spacing between thresholds.
@@ -31,16 +31,10 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class AngularChannel:
+class AngularChannel(Mode):
     """One angular mode: its family, order and eigenvalue E = a/2."""
 
-    symmetry: SymmetryClass
-    order: int
     e_theta: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.symmetry.letter}{self.order}"
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,11 @@ def classify_channels(
     """Evaluate and classify every channel up to max_order, sorted by E."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    q = to_mathieu(xi)
     channels = [
-        angular_energy(xi, symmetry, m, tol)
-        for symmetry, m in iter_channel_modes(max_order)
+        AngularChannel(symmetry, cv.order, cv.value / 2.0)
+        for symmetry in SymmetryClass
+        for cv in char_values(symmetry, max_order, q, tol)
     ]
     channels.sort(key=lambda ch: ch.e_theta)
     return [(ch, radial_alpha(ch)) for ch in channels]

@@ -155,6 +155,14 @@ class TestChannels:
         # breakdown covers every family up to max-order
         assert len(rows) == 13
 
+    @pytest.mark.parametrize("xi", ["0.01", "1.9", "10.5", "250"])
+    def test_count_is_number_of_open_rows(self, capsys, xi):
+        code, out, _ = run_cli(capsys, "channels", "--xi", xi)
+        assert code == 0
+        rows = parse_csv(out)
+        open_rows = [r for r in rows if r["regime"] == "unbounded_below"]
+        assert {int(row["count"]) for row in rows} == {len(open_rows)}
+
     def test_rejects_negative_xi(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["channels", "--xi", "-1"])

@@ -84,6 +84,18 @@ class TestFindCritical:
         with pytest.raises(BracketError, match="no zero crossing"):
             find_critical(SymmetryClass.ODD_2PI, 1)
 
+    def test_passes_tol_to_every_curve_evaluation(self, monkeypatch):
+        real = criticality_mod.char_value
+        seen = set()
+
+        def recording(symmetry, m, q, tol=1e-12):
+            seen.add(tol)
+            return real(symmetry, m, q, tol)
+
+        monkeypatch.setattr(criticality_mod, "char_value", recording)
+        find_critical(SymmetryClass.ODD_2PI, 1, tol=1e-9)
+        assert seen == {1e-9}
+
 
 class TestCriticalTable:
     def test_reproduces_reference_values(self, table5):

@@ -8,10 +8,11 @@ import scipy.special
 from scipy.integrate import solve_ivp
 
 from quadspec import (
+    DEFAULT_TOL,
     ConvergenceError,
-    MathieuParams,
     SymmetryClass,
     char_value,
+    char_values,
     equation_residual,
     eval_theta,
     family_for_label,
@@ -27,6 +28,12 @@ ALL = list(SymmetryClass)
 
 def orders_of(symmetry, max_order):
     return list(range(symmetry.first_order, max_order + 1, 2))
+
+
+def value_at_truncation(symmetry, q, n, rank):
+    """The rank-th eigenvalue of the order-n truncation, one eigensolve."""
+    values, _ = mathieu_mod._eigensolve(symmetry, q, n, (rank, rank), False)
+    return values[0]
 
 
 class TestSymmetryClass:
@@ -91,16 +98,6 @@ class TestSymmetryClass:
             family_for_label("b", 0)
 
 
-class TestMathieuParams:
-    def test_holds_pair(self):
-        p = MathieuParams(a=1.5, q=2.0)
-        assert p.a == 1.5 and p.q == 2.0
-
-    def test_rejects_negative_q(self):
-        with pytest.raises(ValueError):
-            MathieuParams(a=0.0, q=-0.1)
-
-
 class TestCharValue:
     @pytest.mark.parametrize("symmetry", ALL)
     def test_free_rotor_exact(self, symmetry):
@@ -162,7 +159,7 @@ class TestCharValue:
     def test_truncation_doubling_stable(self, symmetry, m, q):
         cv = char_value(symmetry, m, q)
         rank = symmetry.rank_of(m)
-        again = mathieu_mod._eigenvalue(symmetry, q, 2 * cv.truncation, rank)
+        again = value_at_truncation(symmetry, q, 2 * cv.truncation, rank)
         assert abs(cv.value - again) < 1e-12
 
     def test_truncation_recorded(self):
@@ -181,15 +178,40 @@ class TestCharValue:
     def test_convergence_error_reports_last_two(self, monkeypatch):
         flip = {"sign": 1.0}
 
-        def wobble(symmetry, q, n, rank):
+        def wobble(symmetry, q, n, ranks, want_vectors):
             flip["sign"] = -flip["sign"]
-            return flip["sign"]
+            return [flip["sign"]], None
 
-        monkeypatch.setattr(mathieu_mod, "_eigenvalue", wobble)
+        monkeypatch.setattr(mathieu_mod, "_eigensolve", wobble)
         with pytest.raises(ConvergenceError) as err:
             char_value(SymmetryClass.EVEN_PI, 0, 1.0)
-        assert err.value.last_two is not None
-        assert "last two iterates" in str(err.value)
+        # The fake alternates -1, +1, ...; the cap is reached on a +1 step.
+        assert err.value.last_two == (-1.0, 1.0)
+        assert "last two iterates -1.0 and 1.0" in str(err.value)
+
+
+class TestCharValues:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 20.0, 218.0, 2000.0])
+    @pytest.mark.parametrize("top", ["first", 12])
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_matches_char_value_and_doubling(self, symmetry, top, q):
+        max_order = symmetry.first_order if top == "first" else top
+        values = char_values(symmetry, max_order, q)
+        assert [cv.order for cv in values] == orders_of(symmetry, max_order)
+        for rank, cv in enumerate(values):
+            assert cv.symmetry is symmetry and cv.q == q
+            assert abs(cv.value - char_value(symmetry, cv.order, q).value) < DEFAULT_TOL
+            again = value_at_truncation(symmetry, q, 2 * cv.truncation, rank)
+            assert abs(cv.value - again) < 1e-12
+
+    def test_empty_below_first_order(self):
+        assert char_values(SymmetryClass.ODD_PI, 1, 1.0) == []
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            char_values(SymmetryClass.EVEN_PI, 4, -1.0)
+        with pytest.raises(ValueError):
+            char_values(SymmetryClass.EVEN_PI, 4, 1.0, tol=0.0)
 
 
 class TestFourierSolution:
