@@ -149,8 +149,8 @@ def _parse_q_list(text: str) -> list[float]:
             values.append(float(piece))
     if not values:
         raise ValueError("--q must list at least one value")
-    if any(q <= 0 for q in values):
-        raise ValueError("all q values must be > 0")
+    if not all(math.isfinite(q) and q > 0 for q in values):
+        raise ValueError("all --q values must be finite and > 0")
     return values
 
 

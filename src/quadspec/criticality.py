@@ -5,7 +5,8 @@ its characteristic curve crosses zero, so the critical strengths are the
 roots q_c of a_m(q) = 0 and b_m+1(q) = 0, reported as xi_c = q_c / 4.
 The a_m / b_m+1 curves approach each other faster than exponentially as
 q grows, which is why successive critical strengths come in ever-closer
-pairs; :func:`pairing_gap` measures that approach directly.
+pairs; :func:`pairing_gap` measures that approach directly.  Each root
+is bracketed around its large-q asymptotic root (DLMF 28.8.1).
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from scipy.optimize import brentq
 from .errors import BracketError
 from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, family_for_label
 
-#: Scan step in q used to bracket the zero crossing of a curve.
-SCAN_DQ = 0.5
-#: Baseline scan cap; raised per order so high curves stay reachable.
-SCAN_QMAX = 100.0
+#: Times the bracket around the asymptotic root may be widened.
+MAX_EXPANSIONS = 8
 #: Root tolerance for orders >= 3, whose paired roots differ only in the
 #: seventh significant figure of xi_c.
 TIGHT_ROOT_TOL = 1e-13
@@ -45,12 +44,6 @@ class PairingGap:
     gap: float
 
 
-def _scan_cap(m: int) -> float:
-    # The order-m curve crosses zero below roughly (2m+1)^2 in q; the
-    # baseline of 100 alone would strand orders >= 5.
-    return max(SCAN_QMAX, float((2 * m + 2) ** 2))
-
-
 def find_critical(
     symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL
 ) -> CriticalPoint:
@@ -59,12 +52,15 @@ def find_critical(
     The even/pi order-0 curve is the single exception: it starts at zero
     and stays negative, so its only root is q_c = 0 and it is returned
     directly.  All other curves start at m^2 > 0 and cross zero exactly
-    once; the crossing is bracketed on a coarse scan grid and refined by
-    a bracketing root finder.
+    once.  It is bracketed by 0.9 and 1.1 times the large-q asymptotic
+    root (DLMF 28.8.1); an end on the wrong side of the crossing becomes
+    the other end while the low end halves or the high end doubles, at
+    most MAX_EXPANSIONS times, and a bracketing root finder refines it:
+    about ten curve evaluations per root at any order.
     """
     symmetry.rank_of(m)  # validates the (family, order) pair
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
 
     def curve(q):
         return char_value(symmetry, m, q, tol).value
@@ -72,35 +68,39 @@ def find_critical(
     if symmetry is SymmetryClass.EVEN_PI and m == 0:
         return CriticalPoint(symmetry, 0, 0.0, 0.0, abs(curve(0.0)))
 
-    xtol = min(tol, TIGHT_ROOT_TOL) if m >= 3 else tol
-    q_max = _scan_cap(m)
-    steps = int(round(q_max / SCAN_DQ))
-    prev_q, prev_f = 0.0, float(m * m)  # exact free-rotor value at q = 0
-    q_c = None
-    for k in range(1, steps + 1):
-        q = k * SCAN_DQ
-        f = curve(q)
-        if f == 0.0:
-            q_c = q
+    # Root of the first three terms of DLMF 28.8.1, -2q + 2s sqrt(q) -
+    # (s^2 + 1)/8: at most 2.5% above q_c (a1), but b1's q_c is 25% above it.
+    s = 2 * m + 1 if symmetry.letter == "a" else 2 * m - 1
+    q0 = ((s + math.sqrt(s * s - (s * s + 1) / 4.0)) / 2.0) ** 2
+    lo, hi = 0.9 * q0, 1.1 * q0
+    f_lo, f_hi = curve(lo), curve(hi)
+    for _ in range(MAX_EXPANSIONS):
+        if f_lo >= 0.0 >= f_hi:
             break
-        if prev_f > 0.0 and f < 0.0:
-            q_c = float(brentq(curve, prev_q, q, xtol=xtol))
-            break
-        prev_q, prev_f = q, f
-    if q_c is None:
+        if f_lo < 0.0:  # lo is past the crossing: it becomes hi
+            hi, f_hi = lo, f_lo
+            lo /= 2.0
+            f_lo = curve(lo)
+        else:  # hi is short of the crossing: it becomes lo
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            f_hi = curve(hi)
+    if not f_lo >= 0.0 >= f_hi:
         raise BracketError(
-            f"no zero crossing of {Mode(symmetry, m).label} found for q in [0, {q_max}] "
-            f"(scanned in steps of {SCAN_DQ})"
+            f"no zero crossing of {Mode(symmetry, m).label} found for q in [{lo:.6g}, "
+            f"{hi:.6g}] after {MAX_EXPANSIONS} expansions around q = {q0:.6g}"
         )
+    xtol = min(tol, TIGHT_ROOT_TOL) if m >= 3 else tol
+    q_c = float(brentq(curve, lo, hi, xtol=xtol))
     return CriticalPoint(symmetry, m, q_c, q_c / 4.0, abs(curve(q_c)))
 
 
 def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoint]:
     """Critical points of a_0, b_1, ..., a_max_pairs-1, b_max_pairs.
 
-    Rows are ordered by ascending xi_c, which interlacing makes strictly
-    increasing; an exact tie cannot occur, but the stable sort would keep
-    the a-row of a pair ahead of its b-row.
+    Rows are ordered by ascending xi_c.  Once a pair's spacing falls below
+    the root tolerance its order is not resolved (a8 and b9 agree to 12
+    digits, the a13 and b14 roots differ by 1 ulp); a tie keeps a before b.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")

@@ -192,10 +192,12 @@ class FourierSolution(Mode):
 
 def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
     rank = symmetry.rank_of(m)  # raises on an invalid order
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
     if q < 0:
         raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     return rank
 
 
@@ -273,7 +275,8 @@ def char_value(
     within the family, doubling the truncation until the eigenvalue moves
     by less than ``tol``; the truncation actually used is recorded.
 
-    Raises ValueError for an invalid (symmetry, m) pair or q < 0, and
+    Raises ValueError for an invalid (symmetry, m) pair, a negative or
+    non-finite q or a tol that is not positive and finite, and
     ConvergenceError if the doubling hits the truncation cap.
     """
     rank = _validate(symmetry, m, q, tol)

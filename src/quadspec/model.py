@@ -13,6 +13,7 @@ it never solves the radial equation itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -52,6 +53,8 @@ def to_mathieu(xi: float) -> float:
     is the reflection theta -> -theta of the one at +xi, so its spectrum
     is identical but the even/odd labels would silently swap.
     """
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
     if xi < 0:
         raise ValueError(
             "xi must be >= 0; a negative xi is equivalent to +xi under the "

@@ -205,6 +205,33 @@ class TestGap:
         assert err.value.code == 2
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("char", "--label", "a0", "--q", "inf"), "q must be finite"),
+            (("char", "--label", "a0", "--xi", "inf"), "xi must be finite"),
+            (("char", "--label", "a0", "--q", "nan"), "q must be finite"),
+            (("char", "--label", "a0", "--xi", "nan"), "xi must be finite"),
+            (("char", "--label", "a0", "--q", "1", "--tol", "inf"),
+             "tol must be positive and finite"),
+            (("channels", "--xi", "nan"), "xi must be finite"),
+            (("channels", "--xi", "inf"), "xi must be finite"),
+            (("gap", "--m", "1", "--q", "nan"), "--q values must be finite"),
+            (("gap", "--m", "1", "--q", "1,inf"), "--q values must be finite"),
+            (("table", "--max-pairs", "1", "--tol", "inf"),
+             "tol must be positive and finite"),
+        ],
+    )
+    def test_exit_2_naming_the_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2
+        assert message in stderr
+        assert "Traceback" not in stderr
+
+
 class TestExitCodes:
     def test_solver_failure_exits_1(self, capsys, monkeypatch):
         def boom(max_pairs, tol):

@@ -96,6 +96,23 @@ class TestFindCritical:
         find_critical(SymmetryClass.ODD_2PI, 1, tol=1e-9)
         assert seen == {1e-9}
 
+    def test_bracket_costs_few_curve_evaluations(self, monkeypatch):
+        # The bracket around the asymptotic root keeps every root of the
+        # first thirty pairs to a handful of evaluations, independent of m.
+        real = criticality_mod.char_value
+        calls = []
+
+        def counting(symmetry, m, q, tol=1e-12):
+            calls.append(q)
+            return real(symmetry, m, q, tol)
+
+        monkeypatch.setattr(criticality_mod, "char_value", counting)
+        for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
+            for m in orders:
+                calls.clear()
+                find_critical(family_for_label(letter, m), m)
+                assert len(calls) <= 16, f"{letter}{m}: {len(calls)} evaluations"
+
 
 class TestCriticalTable:
     def test_reproduces_reference_values(self, table5):
@@ -132,6 +149,18 @@ class TestCriticalTable:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             critical_table(0)
+
+    def test_thirty_pairs_are_sign_changes(self):
+        # Beyond the reference table: every root is a true sign change of
+        # its curve, down to a relative offset of 1e-9 in q.
+        for point in critical_table(30):
+            assert point.residual <= 1e-10
+            if point.q_c == 0.0:
+                assert point.label == "a0"
+                continue
+            value = lambda q: char_value(point.symmetry, point.order, q).value
+            assert value(point.q_c * (1 - 1e-9)) > 0, point.label
+            assert value(point.q_c * (1 + 1e-9)) < 0, point.label
 
 
 class TestPairingGap:
