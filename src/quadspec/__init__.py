@@ -38,10 +38,8 @@ from .model import (
     AngularChannel,
     RadialRegime,
     Regime,
-    angular_energy,
     classify_channels,
     count_open_channels,
-    iter_channel_modes,
     radial_alpha,
     to_mathieu,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "ShootingResult",
     "SolverError",
     "SymmetryClass",
-    "angular_energy",
     "char_value",
     "char_values",
     "classify_channels",
@@ -77,7 +74,6 @@ __all__ = [
     "family_for_label",
     "find_critical",
     "fourier_solution",
-    "iter_channel_modes",
     "log_gap",
     "negative_q_partner",
     "oracle_char_value",

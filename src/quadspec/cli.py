@@ -18,22 +18,19 @@ from pathlib import Path
 
 from .criticality import critical_table, log_gap, pairing_gap
 from .errors import SolverError
-from .mathieu import DEFAULT_TOL, SymmetryClass, char_value, parse_label
+from .mathieu import DEFAULT_TOL, char_value, parse_label
 from .model import Regime, classify_channels, to_mathieu
 from .oracle import oracle_char_value
 
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return f"{value:.12g}"
     return str(value)
 
 
-def _csv_text(columns, rows) -> str:
+def _csv_text(rows) -> str:
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -42,14 +39,13 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _json_text(columns, rows) -> str:
+def _json_text(rows) -> str:
     # Hand-rolled so numeric fields carry exactly the same 12-digit
     # rendering as the CSV cells; non-finite floats become null.
     rendered = []
     for row in rows:
         fields = []
-        for c in columns:
-            value = row[c]
+        for c, value in row.items():
             if isinstance(value, float):
                 text = _format_value(value) if math.isfinite(value) else "null"
             elif isinstance(value, int):
@@ -68,18 +64,8 @@ def _add_output_args(parser):
                         help="write to this file instead of stdout")
 
 
-def _resolve_mode(args) -> tuple[SymmetryClass, int]:
-    if args.label is not None:
-        if args.family is not None or args.order is not None:
-            raise ValueError("give either --label or --class/--order, not both")
-        return parse_label(args.label)
-    if args.family is None or args.order is None:
-        raise ValueError("give --class together with --order, or a --label")
-    return SymmetryClass.from_name(args.family), args.order
-
-
 def _cmd_char(args):
-    symmetry, order = _resolve_mode(args)
+    symmetry, order = parse_label(args.label)
     q = to_mathieu(args.xi) if args.xi is not None else args.q
     cv = char_value(symmetry, order, q, args.tol)
     row = {
@@ -91,21 +77,15 @@ def _cmd_char(args):
         "value": cv.value,
         "truncation": cv.truncation,
     }
-    columns = ["label", "class", "order", "q", "xi", "value", "truncation"]
     if args.oracle:
         reference = oracle_char_value(symmetry, order, q, args.tol)
         row["oracle_value"] = reference
         row["discrepancy"] = cv.value - reference
-        columns += ["oracle_value", "discrepancy"]
-    return columns, [row]
+    return [row]
 
 
 def _cmd_table(args):
-    if args.max_pairs < 1:
-        raise ValueError("--max-pairs must be >= 1")
-    points = critical_table(args.max_pairs, args.tol)
-    columns = ["eigenvalue_label", "class", "order", "q_c", "xi_c", "residual"]
-    rows = [
+    return [
         {
             "eigenvalue_label": p.label,
             "class": p.symmetry.cli_name,
@@ -114,17 +94,14 @@ def _cmd_table(args):
             "xi_c": p.xi_c,
             "residual": p.residual,
         }
-        for p in points
+        for p in critical_table(args.max_pairs, args.tol)
     ]
-    return columns, rows
 
 
 def _cmd_channels(args):
     classified = classify_channels(args.xi, args.max_order, args.tol)
     count = sum(radial.regime is Regime.UNBOUNDED_BELOW for _, radial in classified)
-    columns = ["xi", "max_order", "count", "label", "class", "order",
-               "e_theta", "alpha", "regime"]
-    rows = [
+    return [
         {
             "xi": args.xi,
             "max_order": args.max_order,
@@ -138,7 +115,6 @@ def _cmd_channels(args):
         }
         for channel, radial in classified
     ]
-    return columns, rows
 
 
 def _parse_q_list(text: str) -> list[float]:
@@ -155,14 +131,8 @@ def _parse_q_list(text: str) -> list[float]:
 
 
 def _cmd_gap(args):
-    if args.m < 0:
-        raise ValueError("--m must be >= 0")
-    columns = ["m", "q", "gap", "log_gap"]
-    rows = []
-    for q in _parse_q_list(args.q):
-        gap = pairing_gap(args.m, q, args.tol)
-        rows.append({"m": args.m, "q": q, "gap": gap.gap, "log_gap": log_gap(gap)})
-    return columns, rows
+    gaps = [pairing_gap(args.m, q, args.tol) for q in _parse_q_list(args.q)]
+    return [{"m": g.m, "q": g.q, "gap": g.gap, "log_gap": log_gap(g)} for g in gaps]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,13 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "charged particle in a planar electric-quadrupole field.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    class_names = [member.cli_name for member in SymmetryClass]
 
     p_char = sub.add_parser("char", help="one characteristic value a_m(q) / b_m(q)")
-    p_char.add_argument("--class", dest="family", choices=class_names,
-                        help="symmetry family (with --order)")
-    p_char.add_argument("--order", type=int, help="order m (with --class)")
-    p_char.add_argument("--label", help="shorthand such as a0 or b3")
+    p_char.add_argument("--label", required=True, help="eigenvalue label such as a0 or b3")
     strength = p_char.add_mutually_exclusive_group(required=True)
     strength.add_argument("--q", type=float, help="Mathieu strength q >= 0")
     strength.add_argument("--xi", type=float, help="quadrupole strength xi (q = 4 xi)")
@@ -221,13 +187,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        columns, rows = args.handler(args)
+        rows = args.handler(args)
     except SolverError as exc:
         print(f"quadspec: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
-    text = _csv_text(columns, rows) if args.format == "csv" else _json_text(columns, rows)
+    text = _csv_text(rows) if args.format == "csv" else _json_text(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

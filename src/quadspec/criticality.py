@@ -56,11 +56,9 @@ def find_critical(
     root (DLMF 28.8.1); an end on the wrong side of the crossing becomes
     the other end while the low end halves or the high end doubles, at
     most MAX_EXPANSIONS times, and a bracketing root finder refines it:
-    about ten curve evaluations per root at any order.
+    about ten curve evaluations per root at any order.  The first
+    :func:`char_value` call checks the arguments.
     """
-    symmetry.rank_of(m)  # validates the (family, order) pair
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
 
     def curve(q):
         return char_value(symmetry, m, q, tol).value
@@ -114,10 +112,6 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
 
 def pairing_gap(m: int, q: float, tol: float = DEFAULT_TOL) -> PairingGap:
     """Evaluate b_m+1(q) - a_m(q) at a common strength q >= 0."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
     a = char_value(family_for_label("a", m), m, q, tol).value
     b = char_value(family_for_label("b", m + 1), m + 1, q, tol).value
     return PairingGap(m, q, b - a)

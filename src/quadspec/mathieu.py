@@ -60,21 +60,17 @@ _SQRT2 = math.sqrt(2.0)
 # the underflow threshold; the default (ulp * ||T||) is too loose near 0.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 
-_FIRST_ORDER = {
-    ("even", "pi"): 0,
-    ("even", "2pi"): 1,
-    ("odd", "2pi"): 1,
-    ("odd", "pi"): 2,
-}
-
 
 class SymmetryClass(Enum):
-    """One of the four families of periodic Mathieu solutions."""
+    """One of the four families of periodic Mathieu solutions.
 
-    EVEN_PI = ("even", "pi")
-    EVEN_2PI = ("even", "2pi")
-    ODD_2PI = ("odd", "2pi")
-    ODD_PI = ("odd", "pi")
+    Each value is (parity, period, first order).
+    """
+
+    EVEN_PI = ("even", "pi", 0)
+    EVEN_2PI = ("even", "2pi", 1)
+    ODD_2PI = ("odd", "2pi", 1)
+    ODD_PI = ("odd", "pi", 2)
 
     @property
     def parity(self) -> str:
@@ -96,17 +92,7 @@ class SymmetryClass(Enum):
     @property
     def first_order(self) -> int:
         """Smallest valid order; also the lowest Fourier harmonic."""
-        return _FIRST_ORDER[self.value]
-
-    @classmethod
-    def from_name(cls, name: str) -> "SymmetryClass":
-        for member in cls:
-            if member.cli_name == name:
-                return member
-        raise ValueError(
-            f"unknown symmetry class {name!r}; expected one of "
-            + ", ".join(m.cli_name for m in cls)
-        )
+        return self.value[2]
 
     def is_valid_order(self, m: int) -> bool:
         return m >= self.first_order and (m - self.first_order) % 2 == 0
@@ -130,15 +116,13 @@ class SymmetryClass(Enum):
 
 def family_for_label(letter: str, m: int) -> SymmetryClass:
     """Symmetry class of the conventional label a_m or b_m."""
-    if letter == "a":
-        if m < 0:
-            raise ValueError("a-family orders start at 0")
-        return SymmetryClass.EVEN_PI if m % 2 == 0 else SymmetryClass.EVEN_2PI
-    if letter == "b":
-        if m < 1:
-            raise ValueError("b-family orders start at 1 (there is no b0)")
-        return SymmetryClass.ODD_2PI if m % 2 == 1 else SymmetryClass.ODD_PI
-    raise ValueError(f"label letter must be 'a' or 'b', got {letter!r}")
+    if letter not in ("a", "b"):
+        raise ValueError(f"label letter must be 'a' or 'b', got {letter!r}")
+    for member in SymmetryClass:
+        if member.letter == letter and member.is_valid_order(m):
+            return member
+    raise ValueError(f"there is no {letter}{m}: a-family orders start at 0, "
+                     "b-family orders at 1")
 
 
 def parse_label(text: str) -> tuple[SymmetryClass, int]:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
-from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, char_values
+# char_value is unused here, but perfbench's tracer self-test checks that
+# it patches and restores the name in this module.
+from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, char_values  # noqa: F401
 
 #: Half-width of the E band treated as exactly critical.  Looser than the
 #: solver tolerance, far tighter than any spacing between thresholds.
@@ -63,14 +64,6 @@ def to_mathieu(xi: float) -> float:
     return 4.0 * xi
 
 
-def angular_energy(
-    xi: float, symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL
-) -> AngularChannel:
-    """Angular eigenvalue E = a_m(4 xi)/2 of one channel."""
-    cv = char_value(symmetry, m, to_mathieu(xi), tol)
-    return AngularChannel(symmetry, m, cv.value / 2.0)
-
-
 def radial_alpha(channel: AngularChannel) -> RadialRegime:
     """Classify the radial problem induced by an angular channel.
 
@@ -87,13 +80,6 @@ def radial_alpha(channel: AngularChannel) -> RadialRegime:
     else:
         regime = Regime.NO_NEGATIVE_SPECTRUM
     return RadialRegime(alpha, regime)
-
-
-def iter_channel_modes(max_order: int) -> Iterator[tuple[SymmetryClass, int]]:
-    """All (family, order) pairs with order <= max_order."""
-    for symmetry in SymmetryClass:
-        for m in range(symmetry.first_order, max_order + 1, 2):
-            yield symmetry, m
 
 
 def classify_channels(

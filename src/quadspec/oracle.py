@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import BracketError, IntegrationError
-from .mathieu import SymmetryClass
+from .mathieu import SymmetryClass, _validate
 
 _HALF_PI = math.pi / 2.0
 #: Step of the bracketing scan in a; same-family values are O(1) apart.
@@ -107,12 +107,9 @@ def oracle_char_value(
     potential is bounded by 2q, so no eigenvalue lies below -2q),
     brackets the rank-th zero of the terminal defect and refines it with
     a bracketing root finder driven by the tight-tolerance integrator.
+    Only the argument check is shared with :func:`~quadspec.mathieu.char_value`.
     """
-    rank = symmetry.rank_of(m)
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    rank = _validate(symmetry, m, q, tol)
 
     lo = -2.0 * q - 1.0
     hi = float((m + 2) ** 2) + 2.0 * q + 4.0

@@ -13,6 +13,11 @@ from quadspec import cli as cli_mod
 from quadspec.cli import main
 
 TABLE_COLUMNS = ["eigenvalue_label", "class", "order", "q_c", "xi_c", "residual"]
+CHAR_COLUMNS = ["label", "class", "order", "q", "xi", "value", "truncation"]
+ORACLE_COLUMNS = CHAR_COLUMNS + ["oracle_value", "discrepancy"]
+CHANNELS_COLUMNS = ["xi", "max_order", "count", "label", "class", "order",
+                    "e_theta", "alpha", "regime"]
+GAP_COLUMNS = ["m", "q", "gap", "log_gap"]
 
 
 def run_cli(capsys, *argv):
@@ -29,8 +34,7 @@ def parse_csv(text):
 
 class TestChar:
     def test_free_rotor(self, capsys):
-        code, out, _ = run_cli(capsys, "char", "--class", "even-pi",
-                               "--order", "0", "--q", "0")
+        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "0")
         assert code == 0
         (row,) = parse_csv(out)
         assert row["label"] == "a0"
@@ -47,8 +51,7 @@ class TestChar:
         assert float(row["q"]) == pytest.approx(0.9080463336, rel=1e-12)
 
     def test_oracle_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "char", "--class", "even-pi",
-                               "--order", "0", "--q", "5", "--oracle")
+        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "5", "--oracle")
         assert code == 0
         (row,) = parse_csv(out)
         assert "oracle_value" in row and "discrepancy" in row
@@ -58,14 +61,13 @@ class TestChar:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("char", "--class", "even-pi", "--order", "0", "--q", "1", "--xi", "1"),
-            ("char", "--class", "even-pi", "--order", "0"),
+            ("char", "--label", "a0", "--q", "1", "--xi", "1"),
+            ("char", "--label", "a0"),
             ("char", "--q", "1"),
             ("char", "--label", "a0", "--class", "even-pi", "--order", "0", "--q", "1"),
             ("char", "--label", "b0", "--q", "1"),
-            ("char", "--class", "odd-2pi", "--order", "0", "--q", "1"),
-            ("char", "--class", "even-pi", "--order", "0", "--q", "-1"),
-            ("char", "--class", "even-pi", "--order", "0", "--xi", "-0.5"),
+            ("char", "--label", "a0", "--q", "-1"),
+            ("char", "--label", "a0", "--xi", "-0.5"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -124,6 +126,28 @@ class TestFormats:
                     # identical 12-significant-digit rendering both sides
                     assert float(c_row[key]) == float(j_val)
                     assert c_row[key] == cli_mod._format_value(float(j_val))
+
+    @pytest.mark.parametrize(
+        "argv,columns",
+        [
+            (("char", "--label", "b1", "--q", "1"), CHAR_COLUMNS),
+            (("char", "--label", "a0", "--q", "0.5", "--oracle"), ORACLE_COLUMNS),
+            (("channels", "--xi", "1", "--max-order", "2"), CHANNELS_COLUMNS),
+            (("gap", "--m", "1", "--q", "10,20"), GAP_COLUMNS),
+        ],
+    )
+    def test_column_order(self, capsys, argv, columns):
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out_csv.splitlines()[0] == ",".join(columns)
+        code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert all(list(row) == columns for row in json.loads(out_json))
+
+    def test_non_finite_rendering(self):
+        assert cli_mod._format_value(float("nan")) == "nan"
+        assert cli_mod._format_value(float("inf")) == "inf"
+        assert cli_mod._format_value(float("-inf")) == "-inf"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -75,12 +75,6 @@ class TestSymmetryClass:
         with pytest.raises(ValueError):
             symmetry.rank_of(bad)
 
-    def test_from_name(self):
-        for symmetry in ALL:
-            assert SymmetryClass.from_name(symmetry.cli_name) is symmetry
-        with pytest.raises(ValueError):
-            SymmetryClass.from_name("odd-3pi")
-
     def test_parse_label(self):
         assert parse_label("a0") == (SymmetryClass.EVEN_PI, 0)
         assert parse_label("a3") == (SymmetryClass.EVEN_2PI, 3)

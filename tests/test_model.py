@@ -8,10 +8,9 @@ from quadspec import (
     AngularChannel,
     Regime,
     SymmetryClass,
-    angular_energy,
+    char_value,
     classify_channels,
     count_open_channels,
-    iter_channel_modes,
     oracle_char_value,
     radial_alpha,
     to_mathieu,
@@ -31,28 +30,30 @@ class TestToMathieu:
             to_mathieu(-0.5)
 
 
+def channel_energy(xi, label):
+    """E of the channel with this label among classify_channels(xi)."""
+    (energy,) = [ch.e_theta for ch, _ in classify_channels(xi) if ch.label == label]
+    return energy
+
+
 class TestAngularEnergy:
     def test_free_rotor_ground(self):
-        channel = angular_energy(0.0, SymmetryClass.EVEN_PI, 0)
-        assert channel.e_theta == pytest.approx(0.0, abs=1e-13)
-        assert channel.label == "a0"
+        assert channel_energy(0.0, "a0") == pytest.approx(0.0, abs=1e-13)
 
     def test_critical_strength_gives_zero_energy(self):
-        channel = angular_energy(0.2270115834, SymmetryClass.ODD_2PI, 1)
-        assert abs(channel.e_theta) < 5e-9
+        assert abs(channel_energy(0.2270115834, "b1")) < 5e-9
 
     def test_ground_energy_negative_at_xi_one(self):
-        channel = angular_energy(1.0, SymmetryClass.EVEN_PI, 0)
-        assert channel.e_theta < 0
+        assert channel_energy(1.0, "a0") < 0
         # independent confirmation by shooting at q = 4
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, 4.0) < 0
 
     def test_halves_the_characteristic_value(self):
-        from quadspec import char_value
-
-        cv = char_value(SymmetryClass.EVEN_2PI, 1, 2.0)
-        channel = angular_energy(0.5, SymmetryClass.EVEN_2PI, 1)
-        assert channel.e_theta == cv.value / 2.0
+        # With max_order=1 every family solve is the single rank that
+        # char_value solves, so the halving is exact.
+        for channel, _ in classify_channels(0.5, max_order=1):
+            cv = char_value(channel.symmetry, channel.order, 2.0)
+            assert channel.e_theta == cv.value / 2.0
 
 
 class TestRadialAlpha:
@@ -94,8 +95,8 @@ class TestRadialAlpha:
 
 class TestChannelEnumeration:
     def test_counts_by_family(self):
-        modes = list(iter_channel_modes(5))
-        assert len(modes) == 11  # a: 0..5, b: 1..5
+        modes = [(ch.symmetry, ch.order) for ch, _ in classify_channels(0.5, max_order=5)]
+        assert len(modes) == len(set(modes)) == 11  # a: 0..5, b: 1..5
         assert (SymmetryClass.ODD_PI, 2) in modes
         assert all(sym.is_valid_order(m) for sym, m in modes)
 

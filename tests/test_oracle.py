@@ -1,5 +1,7 @@
 """Tests for the quarter-period shooting oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,12 @@ class TestErrors:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, -1.0)
         with pytest.raises(ValueError):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=-1.0)
+        # non-finite arguments are rejected before any integration
+        for q in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="q must be finite"):
+                oracle_char_value(SymmetryClass.EVEN_PI, 0, q)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=math.inf)
 
     def test_bracket_error_reports_window(self, monkeypatch):
         def never_crosses(symmetry, a, q, rtol=None, atol=None):
