@@ -182,6 +182,9 @@ def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
         raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
+    if rank >= MAX_TRUNCATION // 2:  # the start truncation, capped to double once
+        raise ValueError(f"{Mode(symmetry, m).label} is beyond the truncation cap: rank "
+                         f"{rank} >= MAX_TRUNCATION // 2 = {MAX_TRUNCATION // 2}")
     return rank
 
 
@@ -209,11 +212,11 @@ def _initial_truncation(m: int, q: float) -> int:
     return max(32, m + math.ceil(2.0 * math.sqrt(q)) + 16)
 
 
-def _eigensolve(symmetry: SymmetryClass, q: float, n: int, ranks: tuple[int, int],
+def _eigensolve(bands: tuple[np.ndarray, np.ndarray], ranks: tuple[int, int],
                 want_vectors: bool) -> tuple[list[float], np.ndarray | None]:
-    """Ascending eigenvalues of ranks lo..hi of the order-n truncation, and
-    their unit eigenvectors as columns if ``want_vectors`` (else None)."""
-    diag, off = _bands(symmetry, q, n)
+    """Ascending eigenvalues of ranks lo..hi of the tridiagonal matrix with these
+    (diagonal, off-diagonal) bands, and unit eigenvectors if ``want_vectors``."""
+    diag, off = bands
     result = eigh_tridiagonal(
         diag, off, eigvals_only=not want_vectors, select="i", select_range=ranks,
         tol=_EIG_ABSTOL,
@@ -229,11 +232,11 @@ def _converge(symmetry, ranks, q, tol, want_vectors):
     ``want_vectors``, every eigenvector's last coefficient is <= TAIL_TOL
     of its largest."""
     n = min(_initial_truncation(symmetry.order_at(ranks[1]), q), MAX_TRUNCATION // 2)
-    cur, _ = _eigensolve(symmetry, q, n, ranks, False)
+    cur, _ = _eigensolve(_bands(symmetry, q, n), ranks, False)
     while 2 * n <= MAX_TRUNCATION:
         n *= 2
         prev = cur
-        cur, vecs = _eigensolve(symmetry, q, n, ranks, want_vectors)
+        cur, vecs = _eigensolve(_bands(symmetry, q, n), ranks, want_vectors)
         if all(abs(c - p) < tol for c, p in zip(cur, prev)) and (
             vecs is None
             or (np.abs(vecs[-1]) <= TAIL_TOL * np.abs(vecs).max(axis=0)).all()
@@ -247,6 +250,46 @@ def _converge(symmetry, ranks, q, tol, want_vectors):
         f"within truncation {MAX_TRUNCATION}; last two iterates "
         f"{prev[worst]!r} and {cur[worst]!r}",
         last_two=(prev[worst], cur[worst]),
+    )
+
+
+def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> float:
+    """q > 0 at which the family's rank-th curve crosses zero, from n rows.
+
+    The recurrence matrix D + q M, D = diag(h^2), is singular at q exactly when
+    -1/q is an eigenvalue of D^-1/2 M D^-1/2, in the curves' order.  Even/pi
+    drops rows 0 and 1 and a_0: at a = 0 with h_0 = 0, row 0 forces A_2 = 0.
+    """
+    skip = 2 if symmetry is SymmetryClass.EVEN_PI else 0
+    k = rank - skip // 2
+    square, _ = _bands(symmetry, 0.0, n + skip)
+    diag, off = _bands(symmetry, 1.0, n + skip)
+    scale = 1.0 / np.sqrt(square[skip:])
+    bands = ((diag - square)[skip:] * scale**2, off[skip:] * scale[:-1] * scale[1:])
+    return -1.0 / _eigensolve(bands, (k, k), False)[0][0]
+
+
+def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> float:
+    """The one q >= 0 at which a_m(q) / b_m(q) is zero; raises like char_value.
+
+    a_0 starts at zero and stays negative, so its root is q = 0; every other
+    curve starts at m^2 > 0 and crosses zero once.  The truncation doubles
+    until two crossings agree to ``tol`` plus 4 ulps of q.
+    """
+    rank = _validate(symmetry, m, 0.0, tol)
+    if symmetry is SymmetryClass.EVEN_PI and m == 0:
+        return 0.0
+    n = min(max(32, 4 * rank + 40), MAX_TRUNCATION // 2)
+    cur = _crossing(symmetry, rank, n)
+    while 2 * n <= MAX_TRUNCATION:
+        n *= 2
+        prev, cur = cur, _crossing(symmetry, rank, n)
+        if abs(cur - prev) < tol + 4.0 * np.finfo(float).eps * cur:
+            return cur
+    raise ConvergenceError(
+        f"zero crossing of {Mode(symmetry, m).label} did not stabilize to {tol} "
+        f"within truncation {MAX_TRUNCATION}; last two iterates {prev!r} and {cur!r}",
+        last_two=(prev, cur),
     )
 
 
@@ -276,8 +319,8 @@ def char_values(
     All ranks share one eigensolve per doubling step and the truncation
     at which the last of them settled.  Raises like :func:`char_value`.
     """
-    _validate(symmetry, symmetry.first_order, q, tol)
     top = (max_order - symmetry.first_order) // 2
+    _validate(symmetry, symmetry.order_at(max(top, 0)), q, tol)
     if top < 0:
         return []
     values, _, n = _converge(symmetry, (0, top), q, tol, want_vectors=False)

@@ -177,9 +177,8 @@ def test_criterion_7_structural_properties(capsys):
                     worst_residual, float(np.max(equation_residual(sol, theta64)))
                 )
                 rank = symmetry.rank_of(sol.order)
-                redone, _ = mathieu_mod._eigensolve(
-                    symmetry, q, 2 * sol.truncation, (rank, rank), False
-                )
+                bands = mathieu_mod._bands(symmetry, q, 2 * sol.truncation)
+                redone, _ = mathieu_mod._eigensolve(bands, (rank, rank), False)
                 worst_doubling = max(worst_doubling, abs(sol.value - redone[0]))
             sampled = [eval_theta(sol, theta_quad) for sol in solutions]
             for i in range(len(sampled)):

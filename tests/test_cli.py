@@ -68,6 +68,7 @@ class TestChar:
             ("char", "--label", "b0", "--q", "1"),
             ("char", "--label", "a0", "--q", "-1"),
             ("char", "--label", "a0", "--xi", "-0.5"),
+            ("char", "--label", "a5000", "--q", "1"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from quadspec import (
-    BracketError,
+    ConvergenceError,
     PairingGap,
     SymmetryClass,
     char_value,
@@ -16,8 +18,10 @@ from quadspec import (
     log_gap,
     oracle_char_value,
     pairing_gap,
+    parse_label,
 )
 from quadspec import criticality as criticality_mod
+from quadspec import mathieu as mathieu_mod
 
 # Ten reference critical strengths xi_c (a_0, b_1, ..., a_4, b_5), quoted
 # to ten significant figures; the first six are reproduced to 1e-8 and
@@ -73,17 +77,6 @@ class TestFindCritical:
         with pytest.raises(ValueError):
             find_critical(SymmetryClass.ODD_2PI, 1, tol=0.0)
 
-    def test_bracket_error_when_curve_never_crosses(self, monkeypatch):
-        real = criticality_mod.char_value
-
-        def always_positive(symmetry, m, q, tol=1e-12):
-            cv = real(symmetry, m, q, tol)
-            return type(cv)(symmetry, m, q, abs(cv.value) + 1.0, cv.truncation)
-
-        monkeypatch.setattr(criticality_mod, "char_value", always_positive)
-        with pytest.raises(BracketError, match="no zero crossing"):
-            find_critical(SymmetryClass.ODD_2PI, 1)
-
     def test_passes_tol_to_every_curve_evaluation(self, monkeypatch):
         real = criticality_mod.char_value
         seen = set()
@@ -96,22 +89,66 @@ class TestFindCritical:
         find_critical(SymmetryClass.ODD_2PI, 1, tol=1e-9)
         assert seen == {1e-9}
 
-    def test_bracket_costs_few_curve_evaluations(self, monkeypatch):
-        # The bracket around the asymptotic root keeps every root of the
-        # first thirty pairs to a handful of evaluations, independent of m.
-        real = criticality_mod.char_value
-        calls = []
+    def test_each_root_costs_one_curve_evaluation_and_two_eigensolves(self, monkeypatch):
+        # The root is an eigenvalue, so the only curve evaluation is the
+        # residual check, and one doubling of the start truncation settles it.
+        real_curve, real_eigh = criticality_mod.char_value, mathieu_mod.eigh_tridiagonal
+        curve_calls, eigensolves = [], []
 
-        def counting(symmetry, m, q, tol=1e-12):
-            calls.append(q)
-            return real(symmetry, m, q, tol)
+        def counting_curve(symmetry, m, q, tol=1e-12):
+            curve_calls.append(q)
+            return real_curve(symmetry, m, q, tol)
 
-        monkeypatch.setattr(criticality_mod, "char_value", counting)
+        def counting_eigh(*args, **kwargs):
+            eigensolves.append(len(args[0]))
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(criticality_mod, "char_value", counting_curve)
+        monkeypatch.setattr(mathieu_mod, "eigh_tridiagonal", counting_eigh)
         for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
             for m in orders:
-                calls.clear()
-                find_critical(family_for_label(letter, m), m)
-                assert len(calls) <= 16, f"{letter}{m}: {len(calls)} evaluations"
+                symmetry = family_for_label(letter, m)
+                eigensolves.clear()
+                mathieu_mod.zero_crossing(symmetry, m)
+                assert len(eigensolves) == 2, f"{letter}{m}: {len(eigensolves)} eigensolves"
+                curve_calls.clear()
+                find_critical(symmetry, m)
+                assert len(curve_calls) == 1, f"{letter}{m}: {len(curve_calls)} evaluations"
+
+    def test_matches_brentq_on_the_curve(self):
+        # Reference: the root of char_value itself, refined by brentq inside
+        # a bracket of +-1e-6 relative around q_c.
+        for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
+            for m in orders:
+                symmetry = family_for_label(letter, m)
+                q_c = find_critical(symmetry, m).q_c
+                reference = brentq(
+                    lambda q: char_value(symmetry, m, q).value,
+                    q_c * (1 - 1e-6), q_c * (1 + 1e-6), xtol=1e-14 * q_c,
+                )
+                assert abs(q_c - reference) <= 1e-13 * q_c, f"{letter}{m}"
+
+    @pytest.mark.parametrize("label", ["b1", "a1", "a2", "b4", "a9", "b10", "a29", "b30"])
+    def test_truncation_doubling_stable(self, label):
+        symmetry, m = parse_label(label)
+        q_c = find_critical(symmetry, m).q_c
+        rank = symmetry.rank_of(m)
+        n = max(32, 4 * rank + 40)
+        for rows in (n, 2 * n, 4 * n):
+            assert abs(mathieu_mod._crossing(symmetry, rank, rows) - q_c) <= 1e-14 * q_c
+
+    def test_convergence_error_reports_last_two(self, monkeypatch):
+        # b30's crossing needs more than 64 rows: 32 and 64 rows disagree.
+        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
+        with pytest.raises(ConvergenceError, match="zero crossing of b30") as err:
+            find_critical(SymmetryClass.ODD_PI, 30)
+        expected = tuple(mathieu_mod._crossing(SymmetryClass.ODD_PI, 14, n) for n in (32, 64))
+        assert err.value.last_two == expected
+        assert abs(expected[0] - expected[1]) > 1.0
+
+    def test_order_beyond_truncation_cap_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="b5001 is beyond the truncation cap: rank 2500"):
+            find_critical(SymmetryClass.ODD_2PI, 5001)
 
 
 class TestCriticalTable:

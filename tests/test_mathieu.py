@@ -32,7 +32,7 @@ def orders_of(symmetry, max_order):
 
 def value_at_truncation(symmetry, q, n, rank):
     """The rank-th eigenvalue of the order-n truncation, one eigensolve."""
-    values, _ = mathieu_mod._eigensolve(symmetry, q, n, (rank, rank), False)
+    values, _ = mathieu_mod._eigensolve(_bands(symmetry, q, n), (rank, rank), False)
     return values[0]
 
 
@@ -169,10 +169,24 @@ class TestCharValue:
         with pytest.raises(ValueError):
             char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("solve", [char_value, char_values, fourier_solution])
+    def test_order_beyond_truncation_cap_is_a_usage_error(self, solve):
+        with pytest.raises(ValueError, match="a5000 is beyond the truncation cap: "
+                                             "rank 2500 >= MAX_TRUNCATION // 2 = 2048"):
+            solve(SymmetryClass.EVEN_PI, 5000, 1.0)
+
+    def test_highest_order_within_truncation_cap(self, monkeypatch):
+        # With a cap of 64 the start truncation is at most 32 rows: rank 31
+        # (a62) is the last that fits, and at q = 0 it is exactly 62^2.
+        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
+        assert char_value(SymmetryClass.EVEN_PI, 62, 0.0).value == 62.0**2
+        with pytest.raises(ValueError, match="a64 is beyond the truncation cap"):
+            char_value(SymmetryClass.EVEN_PI, 64, 0.0)
+
     def test_convergence_error_reports_last_two(self, monkeypatch):
         flip = {"sign": 1.0}
 
-        def wobble(symmetry, q, n, ranks, want_vectors):
+        def wobble(bands, ranks, want_vectors):
             flip["sign"] = -flip["sign"]
             return [flip["sign"]], None
 
