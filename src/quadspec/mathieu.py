@@ -274,12 +274,16 @@ def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> 
 
     a_0 starts at zero and stays negative, so its root is q = 0; every other
     curve starts at m^2 > 0 and crosses zero once.  The truncation doubles
-    until two crossings agree to ``tol`` plus 4 ulps of q.
+    until two crossings agree to ``tol`` plus 4 ulps of q.  A rank that the
+    capped start truncation cannot hold is a ValueError.
     """
     rank = _validate(symmetry, m, 0.0, tol)
     if symmetry is SymmetryClass.EVEN_PI and m == 0:
         return 0.0
     n = min(max(32, 4 * rank + 40), MAX_TRUNCATION // 2)
+    if rank >= n // 2:  # n rows hold only n // 2 negative eigenvalues mu
+        raise ValueError(f"the zero crossing of {Mode(symmetry, m).label} needs more than "
+                         f"{2 * rank} rows; the start truncation is capped at {n}")
     cur = _crossing(symmetry, rank, n)
     while 2 * n <= MAX_TRUNCATION:
         n *= 2

@@ -9,8 +9,9 @@ is integrated over the quarter period [0, pi/2] and each of the four
 periodic families is selected by the parity of y and y' at the two
 endpoints.  For fixed (family, q) the terminal defect is a smooth
 function of ``a`` whose zeros, in ascending order, are the family's
-characteristic values; the m-th one is bracketed by a coarse scan and
-then refined.
+characteristic values.  The m-th one is bracketed by a coarse scan of an
+``a``-grid, all of whose trial solutions are integrated together as one
+system, and then refined by scalar tight-tolerance integrations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -80,22 +82,49 @@ def shooting_defect(
     return ShootingResult(a, float(mismatch), sol.t.size - 1)
 
 
+def _grid_defects(symmetry, grid, q):
+    """Coarse defects at every a of ``grid`` from one DOP853 integration.
+
+    The state holds one trial solution per grid point, values first and
+    derivatives second; only the signs of the result are used.
+    """
+    a = np.asarray(grid)
+    k = a.size
+    y0 = np.zeros(2 * k)
+    start = 0 if symmetry.parity == "even" else k  # y(0) = 1 or y'(0) = 1
+    y0[start:start + k] = 1.0
+
+    def rhs(x, y):
+        return np.concatenate((y[k:], (2.0 * q * math.cos(2.0 * x) - a) * y[:k]))
+
+    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853",
+                    rtol=_COARSE_RTOL, atol=_COARSE_ATOL)
+    if not sol.success:
+        raise IntegrationError(
+            f"integration failed for a in [{grid[0]}, {grid[-1]}], q={q} "
+            f"({symmetry.cli_name}): {sol.message}"
+        )
+    end = sol.y[:, -1]
+    return (end[k:] if _TERMINAL_IS_DERIVATIVE[symmetry] else end[:k]).tolist()
+
+
 def _scan_brackets(symmetry, q, rank, lo, hi):
-    """First rank+1 sign-change brackets of the coarse defect on [lo, hi]."""
-    brackets = []
-    x = lo
-    f_prev = shooting_defect(symmetry, x, q, _COARSE_RTOL, _COARSE_ATOL).mismatch
-    if f_prev == 0.0:
-        brackets.append((x - SCAN_STEP, x + SCAN_STEP))
-    while x <= hi and len(brackets) <= rank:
-        x_next = x + SCAN_STEP
-        f_next = shooting_defect(symmetry, x_next, q, _COARSE_RTOL, _COARSE_ATOL).mismatch
+    """First rank+1 sign-change brackets of the coarse defect on [lo, hi].
+
+    The grid steps up from lo by repeated addition, as a point-by-point scan
+    would; lo + i * SCAN_STEP differs from it by an ulp at some points.
+    """
+    grid = [lo]
+    while grid[-1] <= hi:
+        grid.append(grid[-1] + SCAN_STEP)
+    f = _grid_defects(symmetry, grid, q)
+    brackets = [(lo - SCAN_STEP, lo + SCAN_STEP)] if f[0] == 0.0 else []
+    for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:]):
         if f_next == 0.0:
             brackets.append((x_next - SCAN_STEP, x_next + SCAN_STEP))
         elif f_prev != 0.0 and (f_prev < 0.0) != (f_next < 0.0):
             brackets.append((x, x_next))
-        x, f_prev = x_next, f_next
-    return brackets
+    return brackets[:rank + 1]
 
 
 def oracle_char_value(
@@ -104,9 +133,10 @@ def oracle_char_value(
     """Characteristic value of order m located purely by shooting.
 
     Scans ``a`` upward from below the bottom of the spectrum (the
-    potential is bounded by 2q, so no eigenvalue lies below -2q),
-    brackets the rank-th zero of the terminal defect and refines it with
-    a bracketing root finder driven by the tight-tolerance integrator.
+    potential is bounded by 2q, so no eigenvalue lies below -2q) with one
+    coarse integration of every grid point at once, brackets the rank-th
+    zero of the terminal defect and refines it with a bracketing root
+    finder driven by one tight-tolerance integration per evaluation.
     Only the argument check is shared with :func:`~quadspec.mathieu.char_value`.
     """
     rank = _validate(symmetry, m, q, tol)

@@ -150,6 +150,12 @@ class TestFindCritical:
         with pytest.raises(ValueError, match="b5001 is beyond the truncation cap: rank 2500"):
             find_critical(SymmetryClass.ODD_2PI, 5001)
 
+    def test_rank_beyond_start_truncation_is_a_usage_error(self):
+        # 2048 rows hold only 1024 negative eigenvalues, so b2201 (rank 1100)
+        # has no crossing there; it used to report a negative first iterate.
+        with pytest.raises(ValueError, match="b2201 needs more than 2200 rows"):
+            mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 2201)
+
 
 class TestCriticalTable:
     def test_reproduces_reference_values(self, table5):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadspec import (
     BracketError,
+    IntegrationError,
     SymmetryClass,
     char_value,
     oracle_char_value,
@@ -15,6 +17,8 @@ from quadspec import (
 from quadspec import oracle as oracle_mod
 
 ALL = list(SymmetryClass)
+#: Every (family, order) with order <= 6.
+LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_order, 7, 2)]
 
 
 class TestTrivialPoints:
@@ -103,10 +107,87 @@ class TestErrors:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=math.inf)
 
     def test_bracket_error_reports_window(self, monkeypatch):
-        def never_crosses(symmetry, a, q, rtol=None, atol=None):
-            return oracle_mod.ShootingResult(a, 1.0, 1)
+        def never_crosses(symmetry, grid, q):
+            return [1.0] * len(grid)
 
-        monkeypatch.setattr(oracle_mod, "shooting_defect", never_crosses)
+        monkeypatch.setattr(oracle_mod, "_grid_defects", never_crosses)
         with pytest.raises(BracketError) as err:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
         assert "within" in str(err.value)
+
+
+def point_by_point_scan(symmetry, q, rank, lo, hi):
+    """The scan as one coarse shooting_defect per grid point, stopping at rank+1."""
+    step = oracle_mod.SCAN_STEP
+    rtol, atol = oracle_mod._COARSE_RTOL, oracle_mod._COARSE_ATOL
+    brackets = []
+    x = lo
+    f_prev = shooting_defect(symmetry, x, q, rtol, atol).mismatch
+    if f_prev == 0.0:
+        brackets.append((x - step, x + step))
+    while x <= hi and len(brackets) <= rank:
+        x_next = x + step
+        f_next = shooting_defect(symmetry, x_next, q, rtol, atol).mismatch
+        if f_next == 0.0:
+            brackets.append((x_next - step, x_next + step))
+        elif f_prev != 0.0 and (f_prev < 0.0) != (f_next < 0.0):
+            brackets.append((x, x_next))
+        x, f_prev = x_next, f_next
+    return brackets
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("symmetry", ALL)
+    @pytest.mark.parametrize("q", [0.0, 0.74070554, 17.47, 40.0])
+    def test_brackets_match_point_by_point_scan(self, symmetry, q):
+        # A scan for the top rank is one for every lower rank run longer, so
+        # one reference per (family, q) covers each order m <= 6 by its prefix.
+        lo = -2.0 * q - 1.0
+        orders = [m for family, m in LOW_ORDERS if family is symmetry]
+        windows = [(symmetry.rank_of(m), float((m + 2) ** 2) + 2.0 * q + 4.0) for m in orders]
+        top, top_hi = windows[-1]
+        reference = point_by_point_scan(symmetry, q, top, lo, top_hi)
+        assert len(reference) == top + 1
+        for rank, hi in windows:
+            assert oracle_mod._scan_brackets(symmetry, q, rank, lo, hi) == reference[:rank + 1]
+
+    def test_one_coarse_integration_per_value(self, monkeypatch):
+        real = oracle_mod.solve_ivp
+        rtols = []
+
+        def counting(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
+        for symmetry in ALL:
+            for q in (0.0, 17.47, 40.0):
+                rtols.clear()
+                oracle_char_value(symmetry, symmetry.first_order + 4, q)
+                assert rtols.count(oracle_mod._COARSE_RTOL) == 1, (symmetry, q)
+                assert set(rtols) == {oracle_mod._COARSE_RTOL, oracle_mod.FINE_RTOL}
+
+    def test_failed_integration_names_the_window(self, monkeypatch):
+        def failing(*args, **kwargs):
+            class Failed:
+                success, message = False, "step size too small"
+            return Failed()
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failing)
+        with pytest.raises(IntegrationError, match=r"a in \[-3.0, .*q=1.0"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
+
+
+class TestProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(LOW_ORDERS), st.floats(0.0, 40.0))
+    def test_oracle_agrees_with_recurrence(self, mode, q):
+        symmetry, m = mode
+        assert abs(char_value(symmetry, m, q).value - oracle_char_value(symmetry, m, q)) < 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(1e-4, 40.0))
+    def test_ground_state_is_bound_at_every_strength(self, q):
+        # a_0(q) < 0: one channel is open however weak the quadrupole.  Below
+        # q ~ 1e-6, a_0 ~ -q^2/2 is under the oracle's 1e-12 resolution.
+        assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) < 0.0
