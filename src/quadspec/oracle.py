@@ -162,6 +162,16 @@ def oracle_char_value(
     if f_hi == 0.0:
         return a_hi
     if (f_lo < 0.0) == (f_hi < 0.0):
+        # A root sitting on a grid point (a_0 ~ -q^2/2 rounds to 0.0 for
+        # tiny q) can leave the fine defect there with the coarse one's
+        # opposite sign.  Step the end nearer the root one grid step outward.
+        if abs(f_lo) < abs(f_hi):
+            a_lo -= SCAN_STEP
+            f_lo = fine(a_lo)
+        else:
+            a_hi += SCAN_STEP
+            f_hi = fine(a_hi)
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"refinement bracket [{a_lo}, {a_hi}] lost its sign change "
             f"for {symmetry.cli_name} order {m} at q={q}"

@@ -34,6 +34,12 @@ class TestTrivialPoints:
     def test_free_rotor(self, symmetry, m, expected):
         assert oracle_char_value(symmetry, m, 0.0) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("q", [2.1179212374742805e-131, 1e-300, 5e-324])
+    def test_root_on_a_grid_point(self, q):
+        # a0 ~ -q^2/2 rounds to the grid point 0.0, where the fine defect
+        # (~1e-138 at q ~ 2e-131) has the opposite sign of the coarse one.
+        assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) == pytest.approx(0.0, abs=1e-10)
+
     def test_critical_point_b1(self):
         value = oracle_char_value(SymmetryClass.ODD_2PI, 1, 0.9080463336)
         assert abs(value) < 1e-8
