@@ -54,6 +54,9 @@ RESIDUAL_TOL = 1e-8
 TAIL_TOL = 1e-10
 #: Hard cap on the truncation size.
 MAX_TRUNCATION = 4096
+# Highest order whose zero crossing settles within MAX_TRUNCATION rows, in every
+# family (measured): its coefficients at a = 0 decay only past row ~2.6 * rank.
+_MAX_CROSSING_ORDER = 1518
 
 _SQRT2 = math.sqrt(2.0)
 # LAPACK bisection refines eigenvalues fully when abstol is set to twice
@@ -275,7 +278,8 @@ def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> 
     a_0 starts at zero and stays negative, so its root is q = 0; every other
     curve starts at m^2 > 0 and crosses zero once.  The truncation doubles
     until two crossings agree to ``tol`` plus 4 ulps of q.  A rank that the
-    capped start truncation cannot hold is a ValueError.
+    capped start truncation cannot hold, or an order above 1518 whose
+    crossing does not settle within the truncation cap, is a ValueError.
     """
     rank = _validate(symmetry, m, 0.0, tol)
     if symmetry is SymmetryClass.EVEN_PI and m == 0:
@@ -284,6 +288,10 @@ def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> 
     if rank >= n // 2:  # n rows hold only n // 2 negative eigenvalues mu
         raise ValueError(f"the zero crossing of {Mode(symmetry, m).label} needs more than "
                          f"{2 * rank} rows; the start truncation is capped at {n}")
+    if m > _MAX_CROSSING_ORDER:
+        raise ValueError(f"the zero crossing of {Mode(symmetry, m).label} does not settle "
+                         f"within truncation {MAX_TRUNCATION}; orders above "
+                         f"{_MAX_CROSSING_ORDER} are out of reach")
     cur = _crossing(symmetry, rank, n)
     while 2 * n <= MAX_TRUNCATION:
         n *= 2

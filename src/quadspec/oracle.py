@@ -11,7 +11,9 @@ endpoints.  For fixed (family, q) the terminal defect is a smooth
 function of ``a`` whose zeros, in ascending order, are the family's
 characteristic values.  The m-th one is bracketed by a coarse scan of an
 ``a``-grid, all of whose trial solutions are integrated together as one
-system, and then refined by scalar tight-tolerance integrations.
+system, and then refined by a safeguarded Newton iteration: each
+tight-tolerance integration also carries the variational equation, so it
+returns the defect's derivative in ``a`` along with the defect.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import BracketError, IntegrationError
 from .mathieu import SymmetryClass, _validate
@@ -31,6 +32,8 @@ _HALF_PI = math.pi / 2.0
 SCAN_STEP = 0.25
 #: Integrator tolerance for the refinement stage.
 FINE_RTOL = 1e-12
+# Refinement iterations before giving up; Newton needs 1-4, bisection ~40.
+_MAX_REFINE = 64
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6
 _COARSE_ATOL = 1e-9
@@ -47,11 +50,12 @@ _TERMINAL_IS_DERIVATIVE = {
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Terminal boundary-condition defect of one trial integration."""
+    """Terminal boundary-condition defect of one trial integration and its slope in a."""
 
     a: float
     mismatch: float
     step_count: int
+    slope: float
 
 
 def shooting_defect(
@@ -66,20 +70,22 @@ def shooting_defect(
     Starts from y(0)=1, y'(0)=0 for the even families and y(0)=0,
     y'(0)=1 for the odd ones; the mismatch is y'(pi/2) or y(pi/2)
     according to the family and vanishes exactly at its characteristic
-    values.
+    values.  Its slope in a integrates alongside, from the variational
+    equation u'' = (2q cos 2x - a) u - y for u = dy/da, u(0) = u'(0) = 0.
     """
-    y0 = (1.0, 0.0) if symmetry.parity == "even" else (0.0, 1.0)
+    y0 = (1.0, 0.0, 0.0, 0.0) if symmetry.parity == "even" else (0.0, 1.0, 0.0, 0.0)
 
     def rhs(x, y):
-        return (y[1], (2.0 * q * math.cos(2.0 * x) - a) * y[0])
+        potential = 2.0 * q * math.cos(2.0 * x) - a
+        return (y[1], potential * y[0], y[3], potential * y[2] - y[0])
 
     sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(
             f"integration failed for a={a}, q={q} ({symmetry.cli_name}): {sol.message}"
         )
-    mismatch = sol.y[1, -1] if _TERMINAL_IS_DERIVATIVE[symmetry] else sol.y[0, -1]
-    return ShootingResult(a, float(mismatch), sol.t.size - 1)
+    end = sol.y[1::2, -1] if _TERMINAL_IS_DERIVATIVE[symmetry] else sol.y[0::2, -1]
+    return ShootingResult(a, float(end[0]), sol.t.size - 1, float(end[1]))
 
 
 def _grid_defects(symmetry, grid, q):
@@ -109,21 +115,24 @@ def _grid_defects(symmetry, grid, q):
 
 
 def _scan_brackets(symmetry, q, rank, lo, hi):
-    """First rank+1 sign-change brackets of the coarse defect on [lo, hi].
+    """First rank+1 sign-change brackets of the coarse defect on [lo, hi],
+    each as (a_lo, a_hi, f_lo, f_hi) with the coarse defects at its ends.
 
     The grid steps up from lo by repeated addition, as a point-by-point scan
-    would; lo + i * SCAN_STEP differs from it by an ulp at some points.
+    would; lo + i * SCAN_STEP differs from it by an ulp at some points.  A
+    zero at a grid point gives the bracket one step either side of it, with
+    both defects 0.0 so that refinement starts at its centre.
     """
     grid = [lo]
     while grid[-1] <= hi:
         grid.append(grid[-1] + SCAN_STEP)
     f = _grid_defects(symmetry, grid, q)
-    brackets = [(lo - SCAN_STEP, lo + SCAN_STEP)] if f[0] == 0.0 else []
+    brackets = [(lo - SCAN_STEP, lo + SCAN_STEP, 0.0, 0.0)] if f[0] == 0.0 else []
     for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:]):
         if f_next == 0.0:
-            brackets.append((x_next - SCAN_STEP, x_next + SCAN_STEP))
+            brackets.append((x_next - SCAN_STEP, x_next + SCAN_STEP, 0.0, 0.0))
         elif f_prev != 0.0 and (f_prev < 0.0) != (f_next < 0.0):
-            brackets.append((x, x_next))
+            brackets.append((x, x_next, f_prev, f_next))
     return brackets[:rank + 1]
 
 
@@ -135,9 +144,12 @@ def oracle_char_value(
     Scans ``a`` upward from below the bottom of the spectrum (the
     potential is bounded by 2q, so no eigenvalue lies below -2q) with one
     coarse integration of every grid point at once, brackets the rank-th
-    zero of the terminal defect and refines it with a bracketing root
-    finder driven by one tight-tolerance integration per evaluation.
-    Only the argument check is shared with :func:`~quadspec.mathieu.char_value`.
+    zero of the terminal defect and refines it by safeguarded Newton from
+    the secant point of the coarse defects.  Each tight-tolerance
+    integration gives the defect, whose sign replaces one bracket end, and
+    its slope; a Newton step that would leave the bracket is replaced by
+    bisection, and one below ``tol`` ends the search.  Only the argument
+    check is shared with :func:`~quadspec.mathieu.char_value`.
     """
     rank = _validate(symmetry, m, q, tol)
 
@@ -151,29 +163,19 @@ def oracle_char_value(
             f"need {rank + 1}"
         )
 
-    a_lo, a_hi = brackets[rank]
-
-    def fine(a):
-        return shooting_defect(symmetry, a, q).mismatch
-
-    f_lo, f_hi = fine(a_lo), fine(a_hi)
-    if f_lo == 0.0:
-        return a_lo
-    if f_hi == 0.0:
-        return a_hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        # A root sitting on a grid point (a_0 ~ -q^2/2 rounds to 0.0 for
-        # tiny q) can leave the fine defect there with the coarse one's
-        # opposite sign.  Step the end nearer the root one grid step outward.
-        if abs(f_lo) < abs(f_hi):
-            a_lo -= SCAN_STEP
-            f_lo = fine(a_lo)
-        else:
-            a_hi += SCAN_STEP
-            f_hi = fine(a_hi)
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise BracketError(
-            f"refinement bracket [{a_lo}, {a_hi}] lost its sign change "
-            f"for {symmetry.cli_name} order {m} at q={q}"
-        )
-    return float(brentq(fine, a_lo, a_hi, xtol=tol))
+    a_lo, a_hi, f_lo, f_hi = brackets[rank]
+    a = a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo) if f_lo != f_hi else 0.5 * (a_lo + a_hi)
+    # The defect is positive below the spectrum and changes sign at each
+    # simple root, so just below the rank-th root its sign is (-1)**rank.
+    positive_below = rank % 2 == 0
+    for _ in range(_MAX_REFINE):
+        fine = shooting_defect(symmetry, a, q)
+        a_lo, a_hi = (a, a_hi) if (fine.mismatch > 0.0) == positive_below else (a_lo, a)
+        step = -fine.mismatch / fine.slope if fine.slope else math.inf
+        if abs(step) < tol:
+            return a + step
+        a = a + step if a_lo < a + step < a_hi else 0.5 * (a_lo + a_hi)
+    raise BracketError(
+        f"refinement in [{a_lo}, {a_hi}] did not converge within {_MAX_REFINE} "
+        f"integrations for {symmetry.cli_name} order {m} at q={q}"
+    )

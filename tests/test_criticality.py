@@ -156,6 +156,16 @@ class TestFindCritical:
         with pytest.raises(ValueError, match="b2201 needs more than 2200 rows"):
             mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 2201)
 
+    def test_crossing_beyond_the_truncation_cap_is_a_usage_error(self):
+        # b1601's 2048- and 4096-row crossings differ by ~1e5; it used to
+        # raise ConvergenceError although every check had accepted it.
+        with pytest.raises(ValueError, match="b1601 does not settle within truncation 4096"):
+            mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 1601)
+        # The highest orders that settle are kept: b1201 and a1518.
+        assert mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 1201) == pytest.approx(
+            4954259.5775, rel=1e-10)
+        assert mathieu_mod.zero_crossing(SymmetryClass.EVEN_PI, 1518) > 0.0
+
 
 class TestCriticalTable:
     def test_reproduces_reference_values(self, table5):

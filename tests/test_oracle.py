@@ -1,5 +1,6 @@
 """Tests for the quarter-period shooting oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from quadspec import oracle as oracle_mod
 ALL = list(SymmetryClass)
 #: Every (family, order) with order <= 6.
 LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_order, 7, 2)]
+#: Strengths of the scan and refinement tests, 0.74070554 near a1's zero.
+SCAN_QS = [0.0, 0.74070554, 17.47, 40.0]
 
 
 class TestTrivialPoints:
@@ -44,6 +47,13 @@ class TestTrivialPoints:
         value = oracle_char_value(SymmetryClass.ODD_2PI, 1, 0.9080463336)
         assert abs(value) < 1e-8
 
+    @pytest.mark.parametrize("q", [1e-6, 1e-5, 1e-4])
+    def test_small_q_series(self, q):
+        # DLMF 28.6.1: a_0 = -q^2/2 + 7q^4/128 - ..., far below the scan's
+        # grid; Newton resolves it well under the absolute 1e-12 tolerance.
+        series = -q * q / 2.0 + 7.0 * q**4 / 128.0
+        assert abs(oracle_char_value(SymmetryClass.EVEN_PI, 0, q) - series) < 1e-2 * abs(series)
+
 
 class TestAgreementWithRecurrence:
     @pytest.mark.parametrize("q", [0.0, 0.5, 2.0, 10.0])
@@ -61,6 +71,23 @@ class TestDefect:
         assert result.a == 0.5
         assert result.step_count > 0
         assert isinstance(result.mismatch, float)
+
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_positive_below_the_spectrum(self, q):
+        # The refinement's sign rule rests on this: below a_0 or b_1 the
+        # trial solution does not oscillate and the defect is positive.
+        for symmetry in ALL:
+            assert shooting_defect(symmetry, -2.0 * q - 1.0, q).mismatch > 0.0, symmetry
+
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_slope_is_the_derivative_in_a(self, symmetry):
+        h = 1e-4
+        for q in (0.5, 17.47):
+            for a in (-3.0, 0.3, 2.7, 11.1):
+                slope = shooting_defect(symmetry, a, q).slope
+                central = (shooting_defect(symmetry, a + h, q).mismatch
+                           - shooting_defect(symmetry, a - h, q).mismatch) / (2.0 * h)
+                assert slope == pytest.approx(central, rel=1e-6), (q, a)
 
     def test_continuity_in_a(self):
         # The defect is smooth in a; a 1e-6 nudge moves it by O(1e-6).
@@ -144,7 +171,7 @@ def point_by_point_scan(symmetry, q, rank, lo, hi):
 
 class TestBatchedScan:
     @pytest.mark.parametrize("symmetry", ALL)
-    @pytest.mark.parametrize("q", [0.0, 0.74070554, 17.47, 40.0])
+    @pytest.mark.parametrize("q", SCAN_QS)
     def test_brackets_match_point_by_point_scan(self, symmetry, q):
         # A scan for the top rank is one for every lower rank run longer, so
         # one reference per (family, q) covers each order m <= 6 by its prefix.
@@ -155,7 +182,8 @@ class TestBatchedScan:
         reference = point_by_point_scan(symmetry, q, top, lo, top_hi)
         assert len(reference) == top + 1
         for rank, hi in windows:
-            assert oracle_mod._scan_brackets(symmetry, q, rank, lo, hi) == reference[:rank + 1]
+            brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
+            assert [b[:2] for b in brackets] == reference[:rank + 1]
 
     def test_one_coarse_integration_per_value(self, monkeypatch):
         real = oracle_mod.solve_ivp
@@ -184,6 +212,54 @@ class TestBatchedScan:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
 
+class TestRefinement:
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_at_most_four_fine_integrations_per_value(self, monkeypatch, q):
+        real = oracle_mod.solve_ivp
+        rtols = []
+
+        def counting(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
+        for symmetry, m in LOW_ORDERS:
+            rtols.clear()
+            oracle_char_value(symmetry, m, q)
+            assert 1 <= rtols.count(oracle_mod.FINE_RTOL) <= 4, (symmetry, m)
+
+    @pytest.mark.parametrize("symmetry,m,q", [
+        (SymmetryClass.EVEN_PI, 0, 0.74070554),
+        (SymmetryClass.EVEN_2PI, 3, 17.47),
+        (SymmetryClass.ODD_2PI, 1, 2.0),
+        (SymmetryClass.ODD_PI, 6, 40.0),
+    ])
+    def test_bisects_when_newton_leaves_the_bracket(self, monkeypatch, symmetry, m, q):
+        # A first slope 1e6 times too small throws the Newton step far
+        # outside the scan's bracket; the refinement must bisect instead.
+        real_defect, real_scan = oracle_mod.shooting_defect, oracle_mod._scan_brackets
+        points, brackets = [], []
+
+        def damped_first_slope(*args, **kwargs):
+            result = real_defect(*args, **kwargs)
+            points.append(result.a)
+            if len(points) == 1:
+                result = dataclasses.replace(result, slope=result.slope * 1e-6)
+            return result
+
+        def recording_scan(*args):
+            brackets.extend(real_scan(*args))
+            return brackets
+
+        monkeypatch.setattr(oracle_mod, "shooting_defect", damped_first_slope)
+        monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
+        value = oracle_char_value(symmetry, m, q)
+        # The second point halves the bracket left after the first one.
+        ends = brackets[symmetry.rank_of(m)][:2]
+        assert points[1] in [0.5 * (points[0] + end) for end in ends]
+        assert abs(value - char_value(symmetry, m, q).value) < 1e-9
+
+
 class TestProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(LOW_ORDERS), st.floats(0.0, 40.0))
@@ -192,8 +268,9 @@ class TestProperties:
         assert abs(char_value(symmetry, m, q).value - oracle_char_value(symmetry, m, q)) < 1e-9
 
     @settings(max_examples=10, deadline=None)
-    @given(st.floats(1e-4, 40.0))
+    @given(st.floats(1e-6, 40.0))
     def test_ground_state_is_bound_at_every_strength(self, q):
-        # a_0(q) < 0: one channel is open however weak the quadrupole.  Below
-        # q ~ 1e-6, a_0 ~ -q^2/2 is under the oracle's 1e-12 resolution.
+        # a_0(q) < 0: one channel is open however weak the quadrupole.  The
+        # Newton refinement resolves a_0 ~ -q^2/2 = -5e-13 at q = 1e-6, well
+        # below its 1e-12 tolerance; the sign is right from q ~ 1e-7.
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) < 0.0
