@@ -32,8 +32,9 @@ _HALF_PI = math.pi / 2.0
 SCAN_STEP = 0.25
 #: Integrator tolerance for the refinement stage.
 FINE_RTOL = 1e-12
-# Refinement iterations before giving up; Newton needs 1-4, bisection ~40.
-_MAX_REFINE = 64
+# Refinement integrations before giving up, as brentq's maxiter; Newton
+# needs 1-4, and a tol below the defect's noise at a ~ 0 up to ~50.
+_MAX_REFINE = 100
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6
 _COARSE_ATOL = 1e-9
@@ -145,11 +146,12 @@ def oracle_char_value(
     potential is bounded by 2q, so no eigenvalue lies below -2q) with one
     coarse integration of every grid point at once, brackets the rank-th
     zero of the terminal defect and refines it by safeguarded Newton from
-    the secant point of the coarse defects.  Each tight-tolerance
-    integration gives the defect, whose sign replaces one bracket end, and
-    its slope; a Newton step that would leave the bracket is replaced by
-    bisection, and one below ``tol`` ends the search.  Only the argument
-    check is shared with :func:`~quadspec.mathieu.char_value`.
+    the secant point of the coarse defects, in a bracket one grid step
+    wider on each side.  Each tight-tolerance integration gives the
+    defect, whose sign replaces one bracket end, and its slope; a Newton
+    step that would leave the bracket is replaced by bisection, and a step
+    or bracket below ``tol`` plus 4 ulps of a ends the search.  Only the
+    argument check is shared with :func:`~quadspec.mathieu.char_value`.
     """
     rank = _validate(symmetry, m, q, tol)
 
@@ -165,6 +167,10 @@ def oracle_char_value(
 
     a_lo, a_hi, f_lo, f_hi = brackets[rank]
     a = a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo) if f_lo != f_hi else 0.5 * (a_lo + a_hi)
+    # The scan's signs are coarse, so a root within its error of a grid
+    # point may lie just outside; same-family values are O(1) apart, so one
+    # more step on each side still holds this root and no other.
+    a_lo, a_hi = a_lo - SCAN_STEP, a_hi + SCAN_STEP
     # The defect is positive below the spectrum and changes sign at each
     # simple root, so just below the rank-th root its sign is (-1)**rank.
     positive_below = rank % 2 == 0
@@ -172,8 +178,12 @@ def oracle_char_value(
         fine = shooting_defect(symmetry, a, q)
         a_lo, a_hi = (a, a_hi) if (fine.mismatch > 0.0) == positive_below else (a_lo, a)
         step = -fine.mismatch / fine.slope if fine.slope else math.inf
-        if abs(step) < tol:
+        # Below 4 ulps of a the floats run out before tol does.
+        resolution = tol + 4.0 * np.finfo(float).eps * abs(a)
+        if abs(step) < resolution:
             return a + step
+        if a_hi - a_lo < resolution:
+            return a
         a = a + step if a_lo < a + step < a_hi else 0.5 * (a_lo + a_hi)
     raise BracketError(
         f"refinement in [{a_lo}, {a_hi}] did not converge within {_MAX_REFINE} "

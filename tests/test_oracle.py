@@ -254,9 +254,76 @@ class TestRefinement:
         monkeypatch.setattr(oracle_mod, "shooting_defect", damped_first_slope)
         monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
         value = oracle_char_value(symmetry, m, q)
-        # The second point halves the bracket left after the first one.
-        ends = brackets[symmetry.rank_of(m)][:2]
+        # The second point halves the bracket left after the first one; the
+        # refinement bracket is the scan's, one grid step wider each side.
+        a_lo, a_hi = brackets[symmetry.rank_of(m)][:2]
+        ends = (a_lo - oracle_mod.SCAN_STEP, a_hi + oracle_mod.SCAN_STEP)
         assert points[1] in [0.5 * (points[0] + end) for end in ends]
+        assert abs(value - char_value(symmetry, m, q).value) < 1e-9
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_root_beyond_a_coarse_bracket_end(self, monkeypatch, shift):
+        # A coarse defect with the wrong sign at the grid point next to the
+        # root moves the scan's sign change one grid point early or late,
+        # so the true root lies outside the scan's bracket.
+        symmetry, m, q = SymmetryClass.EVEN_2PI, 3, 17.47
+        rank = symmetry.rank_of(m)
+        real_grid, real_scan = oracle_mod._grid_defects, oracle_mod._scan_brackets
+        brackets = []
+
+        def shifted(symmetry, grid, q):
+            f = real_grid(symmetry, grid, q)
+            i = [j for j in range(len(f) - 1) if (f[j] < 0.0) != (f[j + 1] < 0.0)][rank]
+            if shift < 0:
+                f[i] = f[i + 1]
+            else:
+                f[i + 1] = f[i]
+            return f
+
+        def recording_scan(*args):
+            brackets.extend(real_scan(*args))
+            return brackets
+
+        monkeypatch.setattr(oracle_mod, "_grid_defects", shifted)
+        monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
+        value = oracle_char_value(symmetry, m, q)
+        expected = char_value(symmetry, m, q).value
+        a_lo, a_hi = brackets[rank][:2]
+        assert not a_lo < expected < a_hi
+        assert abs(value - expected) < 1e-9
+
+    @pytest.mark.parametrize("m", [128, 200])
+    def test_large_value_converges(self, monkeypatch, m):
+        # Half an ulp of a = m^2 >= 16384 exceeds the default tol of 1e-12.
+        # The scan would integrate ~10^5 grid points here, so its bracket is
+        # given: the root m^2 at q = 0 sits on a grid point.
+        def grid_point_bracket(symmetry, q, rank, lo, hi):
+            return [(m * m - oracle_mod.SCAN_STEP, m * m + oracle_mod.SCAN_STEP, 0.0, 0.0)] * (
+                rank + 1)
+
+        monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
+        assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
+
+    def test_reports_non_convergence(self, monkeypatch):
+        # Steps of 1e-6 that never shrink stay inside the bracket and above
+        # tol, so the refinement runs out of integrations.
+        def creeping(symmetry, a, q):
+            return oracle_mod.ShootingResult(a, 1.0, 1, -1e6)
+
+        monkeypatch.setattr(oracle_mod, "shooting_defect", creeping)
+        with pytest.raises(BracketError, match="did not converge within 100 integrations"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-300])
+    @pytest.mark.parametrize("symmetry,m,q", [
+        (SymmetryClass.EVEN_PI, 0, 5.0),
+        (SymmetryClass.EVEN_2PI, 3, 17.47),
+        (SymmetryClass.ODD_PI, 6, 40.0),
+    ])
+    def test_tol_below_the_noise_floor(self, symmetry, m, q, tol):
+        # The fine defect cannot resolve a to 1e-15, let alone 1e-300; the
+        # search then ends when the floats run out.
+        value = oracle_char_value(symmetry, m, q, tol=tol)
         assert abs(value - char_value(symmetry, m, q).value) < 1e-9
 
 
