@@ -50,11 +50,12 @@ def find_critical(
 
 
 def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoint]:
-    """Critical points of a_0, b_1, ..., a_max_pairs-1, b_max_pairs.
+    """Critical points of a_0, b_1, a_1, b_2, ..., a_max_pairs-1, b_max_pairs.
 
-    Rows are ordered by ascending xi_c.  A pair spaced below the root
-    tolerance is not resolved (a8/b9 agree to 12 digits, the a12/b13 and
-    a17/b18 roots to the bit, a13/b14 to 1 ulp); a tie keeps a before b.
+    This order is the order of xi_c: for q > 0 the curves interlace as
+    a_m < b_m+1 < a_m+1 (DLMF 28.2(v)) and each crosses zero once, so the
+    roots interlace the same way.  It holds even where a pair's spacing is
+    below the root tolerance and the computed xi_c tie or swap.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
@@ -62,7 +63,6 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     for m in range(max_pairs):
         points.append(find_critical(family_for_label("a", m), m, tol))
         points.append(find_critical(family_for_label("b", m + 1), m + 1, tol))
-    points.sort(key=lambda p: p.xi_c)
     return points
 
 

@@ -6,11 +6,7 @@ class SolverError(Exception):
 
 
 class ConvergenceError(SolverError):
-    """Truncation doubling hit its cap before the eigenvalue stabilized."""
-
-    def __init__(self, message, last_two=None):
-        super().__init__(message)
-        self.last_two = last_two
+    """A truncated eigensolve's residual bound or coefficient tail is above its limit."""
 
 
 class BracketError(SolverError):

@@ -11,10 +11,10 @@ expanding a solution in the matching Fourier basis turns the equation
 into a three-term recurrence for the coefficients.  After rescaling the
 constant term of the even/period-pi family by sqrt(2), each recurrence
 is a symmetric tridiagonal matrix, so characteristic values are its
-eigenvalues and Fourier coefficients its eigenvectors.  Truncations are
-doubled until the eigenvalue stabilizes; the coefficient tails decay
-faster than exponentially beyond harmonic ~sqrt(q), so this converges
-almost immediately.
+eigenvalues and Fourier coefficients its eigenvectors.  The coefficient
+tails decay faster than exponentially beyond harmonic ~sqrt(q), so one
+eigensolve at a truncation well past that harmonic suffices; the one term
+its eigenvector leaves out of the infinite recurrence certifies it.
 
 Conventions:
 
@@ -185,7 +185,7 @@ def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
         raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if rank >= MAX_TRUNCATION // 2:  # the start truncation, capped to double once
+    if rank >= MAX_TRUNCATION // 2:  # half the truncation holds every rank
         raise ValueError(f"{Mode(symmetry, m).label} is beyond the truncation cap: rank "
                          f"{rank} >= MAX_TRUNCATION // 2 = {MAX_TRUNCATION // 2}")
     return rank
@@ -215,53 +215,52 @@ def _initial_truncation(m: int, q: float) -> int:
     return max(32, m + math.ceil(2.0 * math.sqrt(q)) + 16)
 
 
-def _eigensolve(bands: tuple[np.ndarray, np.ndarray], ranks: tuple[int, int],
-                want_vectors: bool) -> tuple[list[float], np.ndarray | None]:
+def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
+                ranks: tuple[int, int]) -> tuple[list[float], np.ndarray]:
     """Ascending eigenvalues of ranks lo..hi of the tridiagonal matrix with these
-    (diagonal, off-diagonal) bands, and unit eigenvectors if ``want_vectors``."""
+    (diagonal, off-diagonal) bands, and their unit eigenvectors as columns."""
     diag, off = bands
-    result = eigh_tridiagonal(
-        diag, off, eigvals_only=not want_vectors, select="i", select_range=ranks,
-        tol=_EIG_ABSTOL,
-    )
-    if want_vectors:
-        return result[0].tolist(), result[1]
-    return result.tolist(), None
+    values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=ranks,
+                                       tol=_EIG_ABSTOL)
+    return values.tolist(), vectors
 
 
-def _converge(symmetry, ranks, q, tol, want_vectors):
-    """Values, vectors (or None) and truncation of the first doubling step
-    at which every rank in ``ranks`` moved by less than ``tol`` and, with
-    ``want_vectors``, every eigenvector's last coefficient is <= TAIL_TOL
-    of its largest."""
-    n = min(_initial_truncation(symmetry.order_at(ranks[1]), q), MAX_TRUNCATION // 2)
-    cur, _ = _eigensolve(_bands(symmetry, q, n), ranks, False)
-    while 2 * n <= MAX_TRUNCATION:
-        n *= 2
-        prev = cur
-        cur, vecs = _eigensolve(_bands(symmetry, q, n), ranks, want_vectors)
-        if all(abs(c - p) < tol for c, p in zip(cur, prev)) and (
-            vecs is None
-            or (np.abs(vecs[-1]) <= TAIL_TOL * np.abs(vecs).max(axis=0)).all()
-        ):
-            return cur, vecs, n
-    shifts = [abs(c - p) for c, p in zip(cur, prev)]
-    worst = shifts.index(max(shifts))
-    label = Mode(symmetry, symmetry.order_at(ranks[0] + worst)).label
-    raise ConvergenceError(
-        f"characteristic value {label}(q={q}) did not stabilize to {tol} "
-        f"within truncation {MAX_TRUNCATION}; last two iterates "
-        f"{prev[worst]!r} and {cur[worst]!r}",
-        last_two=(prev[worst], cur[worst]),
-    )
+def _certify(name_of, values, bounds, tol: float, n: int) -> None:
+    """Raise ConvergenceError unless each residual bound is below ``tol`` plus
+    4 ulps of its value; ``name_of(i)`` names the i-th value."""
+    limits = tol + 4.0 * np.finfo(float).eps * np.abs(values)
+    failed = np.flatnonzero(~(np.asarray(bounds) < limits))
+    if failed.size:
+        i = failed[0]
+        raise ConvergenceError(
+            f"{name_of(i)} is not certified to {tol}: its residual bound is "
+            f"{bounds[i]:.3g} at truncation {n} (cap {MAX_TRUNCATION})")
 
 
-def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> float:
-    """q > 0 at which the family's rank-th curve crosses zero, from n rows.
+def _converge(symmetry, ranks, q, tol):
+    """Values, unit eigenvectors and truncation of ranks lo..hi from one eigensolve.
+
+    An eigenvector v of the n-row truncation solves the infinite recurrence
+    but for the one dropped term q * v[n-1], so some characteristic value
+    lies within q * |v[n-1]| of its eigenvalue; that bound is certified.
+    """
+    n = 2 * min(_initial_truncation(symmetry.order_at(ranks[1]), q), MAX_TRUNCATION // 2)
+    values, vecs = _eigensolve(_bands(symmetry, q, n), ranks)
+    _certify(lambda i: f"characteristic value "
+                       f"{Mode(symmetry, symmetry.order_at(ranks[0] + i)).label}(q={q})",
+             values, q * np.abs(vecs[-1]), tol, n)
+    return values, vecs, n
+
+
+def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> tuple[float, float]:
+    """q > 0 at which the family's rank-th curve crosses zero, from n rows, and
+    the residual bound on it.
 
     The recurrence matrix D + q M, D = diag(h^2), is singular at q exactly when
     -1/q is an eigenvalue of D^-1/2 M D^-1/2, in the curves' order.  Even/pi
     drops rows 0 and 1 and a_0: at a = 0 with h_0 = 0, row 0 forces A_2 = 0.
+    The eigenvector leaves out one term, v[-1] / (h_last * h_next), which
+    moves -1/q by at most that much and q by that times q^2.
     """
     skip = 2 if symmetry is SymmetryClass.EVEN_PI else 0
     k = rank - skip // 2
@@ -269,38 +268,34 @@ def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> float:
     diag, off = _bands(symmetry, 1.0, n + skip)
     scale = 1.0 / np.sqrt(square[skip:])
     bands = ((diag - square)[skip:] * scale**2, off[skip:] * scale[:-1] * scale[1:])
-    return -1.0 / _eigensolve(bands, (k, k), False)[0][0]
+    values, vecs = _eigensolve(bands, (k, k))
+    q_c = -1.0 / values[0]
+    h_last, h_next = symmetry.harmonics(n + skip + 1)[-2:]
+    return q_c, abs(vecs[-1, 0]) / (h_last * h_next) * q_c**2
 
 
 def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> float:
     """The one q >= 0 at which a_m(q) / b_m(q) is zero; raises like char_value.
 
     a_0 starts at zero and stays negative, so its root is q = 0; every other
-    curve starts at m^2 > 0 and crosses zero once.  The truncation doubles
-    until two crossings agree to ``tol`` plus 4 ulps of q.  An order above
-    1518, whose crossing does not settle within the truncation cap, is a
-    ValueError.
+    curve starts at m^2 > 0 and crosses zero once.  One eigensolve gives the
+    crossing, certified like a characteristic value to ``tol`` plus 4 ulps of
+    q.  The certificate shows that some crossing lies that close, not that it
+    is this order's, so an order above 1518, whose crossing does not settle
+    within the truncation cap, is a ValueError.
     """
     rank = _validate(symmetry, m, 0.0, tol)
     if symmetry is SymmetryClass.EVEN_PI and m == 0:
         return 0.0
-    n = min(max(32, 4 * rank + 40), MAX_TRUNCATION // 2)
+    n = 2 * min(max(32, 4 * rank + 40), MAX_TRUNCATION // 2)
     if m > _MAX_CROSSING_ORDER:
         raise ValueError(f"the zero crossing of {Mode(symmetry, m).label} does not settle "
                          f"within truncation {MAX_TRUNCATION}; orders above "
                          f"{_MAX_CROSSING_ORDER} are out of reach (rank {rank}, "
-                         f"start truncation {n} rows)")
-    cur = _crossing(symmetry, rank, n)
-    while 2 * n <= MAX_TRUNCATION:
-        n *= 2
-        prev, cur = cur, _crossing(symmetry, rank, n)
-        if abs(cur - prev) < tol + 4.0 * np.finfo(float).eps * cur:
-            return cur
-    raise ConvergenceError(
-        f"zero crossing of {Mode(symmetry, m).label} did not stabilize to {tol} "
-        f"within truncation {MAX_TRUNCATION}; last two iterates {prev!r} and {cur!r}",
-        last_two=(prev, cur),
-    )
+                         f"truncation {n} rows)")
+    q_c, bound = _crossing(symmetry, rank, n)
+    _certify(lambda _: f"zero crossing of {Mode(symmetry, m).label}", [q_c], [bound], tol, n)
+    return q_c
 
 
 def char_value(
@@ -308,16 +303,17 @@ def char_value(
 ) -> CharacteristicValue:
     """Characteristic value a_m(q) / b_m(q) of the given family and order.
 
-    The truncated tridiagonal recurrence is solved for the rank of m
-    within the family, doubling the truncation until the eigenvalue moves
-    by less than ``tol``; the truncation actually used is recorded.
+    The truncated tridiagonal recurrence is solved once for the rank of m
+    within the family, and the truncation used is recorded.  The value is
+    within ``tol`` plus 4 ulps of a true characteristic value by the
+    eigenvector's residual in the infinite recurrence.
 
     Raises ValueError for an invalid (symmetry, m) pair, a negative or
     non-finite q or a tol that is not positive and finite, and
-    ConvergenceError if the doubling hits the truncation cap.
+    ConvergenceError if the residual bound is above that.
     """
     rank = _validate(symmetry, m, q, tol)
-    values, _, n = _converge(symmetry, (rank, rank), q, tol, want_vectors=False)
+    values, _, n = _converge(symmetry, (rank, rank), q, tol)
     return CharacteristicValue(symmetry, m, q, values[0], n)
 
 
@@ -326,14 +322,14 @@ def char_values(
 ) -> list[CharacteristicValue]:
     """Characteristic values of every order of one family up to max_order.
 
-    All ranks share one eigensolve per doubling step and the truncation
-    at which the last of them settled.  Raises like :func:`char_value`.
+    All ranks share one eigensolve and its truncation, chosen for the top
+    rank.  Raises like :func:`char_value`.
     """
     top = (max_order - symmetry.first_order) // 2
     _validate(symmetry, symmetry.order_at(max(top, 0)), q, tol)
     if top < 0:
         return []
-    values, _, n = _converge(symmetry, (0, top), q, tol, want_vectors=False)
+    values, _, n = _converge(symmetry, (0, top), q, tol)
     return [
         CharacteristicValue(symmetry, symmetry.order_at(rank), q, value, n)
         for rank, value in enumerate(values)
@@ -347,10 +343,17 @@ def fourier_solution(
 
     The coefficient vector is the eigenvector of the same tridiagonal
     system, scaled so that the integral of Theta^2 over [0, 2*pi] is pi
-    and signed so that the leading nonzero coefficient is positive.
+    and signed so that the leading nonzero coefficient is positive.  Raises
+    like :func:`char_value`, and ConvergenceError if the last coefficient is
+    above TAIL_TOL of the largest.
     """
     rank = _validate(symmetry, m, q, tol)
-    values, vecs, n = _converge(symmetry, (rank, rank), q, tol, want_vectors=True)
+    values, vecs, n = _converge(symmetry, (rank, rank), q, tol)
+    tail = abs(vecs[-1, 0]) / np.abs(vecs[:, 0]).max()
+    if not tail <= TAIL_TOL:
+        raise ConvergenceError(f"Fourier coefficients of {Mode(symmetry, m).label}(q={q}) "
+                               f"fall only to {tail:.3g} of the largest within truncation "
+                               f"{n}, not to {TAIL_TOL}")
     coeffs = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if symmetry is SymmetryClass.EVEN_PI:
         coeffs[0] /= _SQRT2

@@ -178,7 +178,7 @@ def test_criterion_7_structural_properties(capsys):
                 )
                 rank = symmetry.rank_of(sol.order)
                 bands = mathieu_mod._bands(symmetry, q, 2 * sol.truncation)
-                redone, _ = mathieu_mod._eigensolve(bands, (rank, rank), False)
+                redone, _ = mathieu_mod._eigensolve(bands, (rank, rank))
                 worst_doubling = max(worst_doubling, abs(sol.value - redone[0]))
             sampled = [eval_theta(sol, theta_quad) for sol in solutions]
             for i in range(len(sampled)):

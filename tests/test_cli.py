@@ -58,6 +58,13 @@ class TestChar:
         assert abs(float(row["value"]) - float(row["oracle_value"])) < 1e-9
         assert abs(float(row["discrepancy"])) < 1e-9
 
+    def test_large_value_is_certified(self, capsys):
+        # |a| ~ 2e6, where tol 1e-12 is below one ulp; it used to exit 1.
+        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1e6")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert (row["value"], row["truncation"]) == ("-1998000.25003", "4032")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -187,6 +194,17 @@ class TestChannels:
         rows = parse_csv(out)
         open_rows = [r for r in rows if r["regime"] == "unbounded_below"]
         assert {int(row["count"]) for row in rows} == {len(open_rows)}
+
+    def test_every_channel_open_at_xi_1000(self, capsys):
+        # Values reach |a| ~ 8000, where tol 1e-12 is below two ulps; it used
+        # to exit 1 from xi ~ 820 on.
+        code, out, _ = run_cli(capsys, "channels", "--xi", "1000", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 25
+        assert all(row["count"] == 25 and row["regime"] == "unbounded_below" for row in rows)
+        energies = [row["e_theta"] for row in rows]
+        assert energies == sorted(energies) and energies[0] == pytest.approx(-3936.87969533)
 
     def test_rejects_negative_xi(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from quadspec import (
@@ -22,6 +23,35 @@ from quadspec import (
 )
 from quadspec import criticality as criticality_mod
 from quadspec import mathieu as mathieu_mod
+
+
+def doubling_crossing(symmetry, m, tol=1e-12):
+    """Reference: the truncation-doubling loop the certified crossing replaced.
+
+    Each iterate is -1/mu for one eigenvalue mu of D^-1/2 M D^-1/2, built as
+    in mathieu._crossing, from eigenvalues only."""
+    rank = symmetry.rank_of(m)
+    skip = 2 if symmetry is SymmetryClass.EVEN_PI else 0
+
+    def crossing(n):
+        square, _ = mathieu_mod._bands(symmetry, 0.0, n + skip)
+        diag, off = mathieu_mod._bands(symmetry, 1.0, n + skip)
+        scale = 1.0 / np.sqrt(square[skip:])
+        k = rank - skip // 2
+        mu = eigh_tridiagonal((diag - square)[skip:] * scale**2,
+                              off[skip:] * scale[:-1] * scale[1:], eigvals_only=True,
+                              select="i", select_range=(k, k), tol=mathieu_mod._EIG_ABSTOL)
+        return -1.0 / mu[0]
+
+    n = min(max(32, 4 * rank + 40), mathieu_mod.MAX_TRUNCATION // 2)
+    cur = crossing(n)
+    while 2 * n <= mathieu_mod.MAX_TRUNCATION:
+        n *= 2
+        prev, cur = cur, crossing(n)
+        if abs(cur - prev) < tol + 4.0 * np.finfo(float).eps * cur:
+            return cur
+    raise ConvergenceError("the doubling loop did not settle")
+
 
 # Ten reference critical strengths xi_c (a_0, b_1, ..., a_4, b_5), quoted
 # to ten significant figures; the first six are reproduced to 1e-8 and
@@ -89,31 +119,33 @@ class TestFindCritical:
         find_critical(SymmetryClass.ODD_2PI, 1, tol=1e-9)
         assert seen == {1e-9}
 
-    def test_each_root_costs_one_curve_evaluation_and_two_eigensolves(self, monkeypatch):
-        # The root is an eigenvalue, so the only curve evaluation is the
-        # residual check, and one doubling of the start truncation settles it.
-        real_curve, real_eigh = criticality_mod.char_value, mathieu_mod.eigh_tridiagonal
-        curve_calls, eigensolves = [], []
+    def test_each_root_costs_one_curve_evaluation_and_one_eigensolve(self, monkeypatch,
+                                                                       eigensolves):
+        # The root is an eigenvalue, certified by its eigenvector, so the only
+        # curve evaluation is the residual check.
+        real_curve, curve_calls = criticality_mod.char_value, []
 
         def counting_curve(symmetry, m, q, tol=1e-12):
             curve_calls.append(q)
             return real_curve(symmetry, m, q, tol)
 
-        def counting_eigh(*args, **kwargs):
-            eigensolves.append(len(args[0]))
-            return real_eigh(*args, **kwargs)
-
         monkeypatch.setattr(criticality_mod, "char_value", counting_curve)
-        monkeypatch.setattr(mathieu_mod, "eigh_tridiagonal", counting_eigh)
         for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
             for m in orders:
                 symmetry = family_for_label(letter, m)
                 eigensolves.clear()
                 mathieu_mod.zero_crossing(symmetry, m)
-                assert len(eigensolves) == 2, f"{letter}{m}: {len(eigensolves)} eigensolves"
+                assert len(eigensolves) == 1, f"{letter}{m}: {len(eigensolves)} eigensolves"
                 curve_calls.clear()
                 find_critical(symmetry, m)
                 assert len(curve_calls) == 1, f"{letter}{m}: {len(curve_calls)} evaluations"
+
+    def test_crossings_bit_identical_to_doubling_loop(self):
+        for letter in "ab":
+            for m in range(1, 121):
+                symmetry = family_for_label(letter, m)
+                assert mathieu_mod.zero_crossing(symmetry, m) == doubling_crossing(symmetry, m), (
+                    f"{letter}{m}")
 
     def test_matches_brentq_on_the_curve(self):
         # Reference: the root of char_value itself, refined by brentq inside
@@ -135,25 +167,25 @@ class TestFindCritical:
         rank = symmetry.rank_of(m)
         n = max(32, 4 * rank + 40)
         for rows in (n, 2 * n, 4 * n):
-            assert abs(mathieu_mod._crossing(symmetry, rank, rows) - q_c) <= 1e-14 * q_c
+            assert abs(mathieu_mod._crossing(symmetry, rank, rows)[0] - q_c) <= 1e-14 * q_c
 
-    def test_convergence_error_reports_last_two(self, monkeypatch):
-        # b30's crossing needs more than 64 rows: 32 and 64 rows disagree.
+    def test_certificate_failure_names_bound_and_truncation(self, monkeypatch):
+        # b30's crossing needs more than 64 rows: its eigenvector's last
+        # coefficient is far from negligible there.
         monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
-        with pytest.raises(ConvergenceError, match="zero crossing of b30") as err:
+        with pytest.raises(ConvergenceError, match=r"zero crossing of b30 is not certified "
+                                                   r"to 1e-12: its residual bound is \S+ at "
+                                                   r"truncation 64 \(cap 64\)"):
             find_critical(SymmetryClass.ODD_PI, 30)
-        expected = tuple(mathieu_mod._crossing(SymmetryClass.ODD_PI, 14, n) for n in (32, 64))
-        assert err.value.last_two == expected
-        assert abs(expected[0] - expected[1]) > 1.0
 
     def test_order_beyond_truncation_cap_is_a_usage_error(self):
         with pytest.raises(ValueError, match="b5001 is beyond the truncation cap: rank 2500"):
             find_critical(SymmetryClass.ODD_2PI, 5001)
 
     def test_rank_beyond_start_truncation_is_a_usage_error(self):
-        # 2048 rows hold only 1024 negative eigenvalues, so b2201 (rank 1100)
-        # has no crossing there; it used to report a negative first iterate.
-        message = r"b2201 .* \(rank 1100, start truncation 2048 rows\)"
+        # b2201 (rank 1100) is above the highest order that settles; with
+        # only 2048 rows it once had no crossing and reported a negative one.
+        message = r"b2201 .* \(rank 1100, truncation 4096 rows\)"
         with pytest.raises(ValueError, match=message):
             mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 2201)
 
@@ -203,6 +235,23 @@ class TestCriticalTable:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             critical_table(0)
+
+    def test_generation_order_is_sorted_below_twenty_pairs(self):
+        # Every table up to 19 pairs is a prefix of this one, so rows in
+        # interlacing order are also in order of the computed xi_c there.
+        table = critical_table(19)
+        assert sorted(table, key=lambda p: p.xi_c) == table
+
+    @pytest.mark.parametrize("max_pairs", [30, 60])
+    def test_interlacing_order_and_printed_xi_nondecreasing(self, max_pairs):
+        table = critical_table(max_pairs)
+        expected = [f"{letter}{m + shift}" for m in range(max_pairs)
+                    for letter, shift in (("a", 0), ("b", 1))]
+        assert [p.label for p in table] == expected
+        # At 30 pairs b20's xi_c is a few ulps below a19's, yet a19 comes first;
+        # the printed 12 digits agree, so the column as printed never decreases.
+        printed = [float(f"{p.xi_c:.12g}") for p in table]
+        assert all(lo <= hi for lo, hi in zip(printed, printed[1:]))
 
     def test_thirty_pairs_are_sign_changes(self):
         # Beyond the reference table: every root is a true sign change of

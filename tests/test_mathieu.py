@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from quadspec import (
     DEFAULT_TOL,
@@ -32,8 +33,27 @@ def orders_of(symmetry, max_order):
 
 def value_at_truncation(symmetry, q, n, rank):
     """The rank-th eigenvalue of the order-n truncation, one eigensolve."""
-    values, _ = mathieu_mod._eigensolve(_bands(symmetry, q, n), (rank, rank), False)
+    values, _ = mathieu_mod._eigensolve(_bands(symmetry, q, n), (rank, rank))
     return values[0]
+
+
+def doubling_loop(symmetry, ranks, q, tol=DEFAULT_TOL):
+    """Reference: values and truncation of the truncation-doubling loop the
+    certified solve replaced, eigenvalues only, capped at MAX_TRUNCATION."""
+    def solve(n):
+        diag, off = _bands(symmetry, q, n)
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=ranks, tol=mathieu_mod._EIG_ABSTOL).tolist()
+
+    n = min(mathieu_mod._initial_truncation(symmetry.order_at(ranks[1]), q),
+            mathieu_mod.MAX_TRUNCATION // 2)
+    cur = solve(n)
+    while 2 * n <= mathieu_mod.MAX_TRUNCATION:
+        n *= 2
+        prev, cur = cur, solve(n)
+        if all(abs(c - p) < tol for c, p in zip(cur, prev)):
+            return cur, n
+    raise ConvergenceError("the doubling loop did not settle")
 
 
 class TestSymmetryClass:
@@ -183,19 +203,49 @@ class TestCharValue:
         with pytest.raises(ValueError, match="a64 is beyond the truncation cap"):
             char_value(SymmetryClass.EVEN_PI, 64, 0.0)
 
-    def test_convergence_error_reports_last_two(self, monkeypatch):
-        flip = {"sign": 1.0}
+    def test_certificate_failure_names_bound_and_truncation(self, monkeypatch):
+        # a0 at q = 400 needs far more than 16 rows: q * |v_last| is large.
+        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 16)
+        with pytest.raises(ConvergenceError, match=r"a0\(q=400.0\) is not certified to "
+                                                   r"1e-12: its residual bound is \S+ at "
+                                                   r"truncation 16 \(cap 16\)"):
+            char_value(SymmetryClass.EVEN_PI, 0, 400.0)
 
-        def wobble(bands, ranks, want_vectors):
-            flip["sign"] = -flip["sign"]
-            return [flip["sign"]], None
+    @pytest.mark.parametrize("solve", [char_value, fourier_solution])
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_one_eigensolve_per_value(self, eigensolves, solve, symmetry):
+        for m in orders_of(symmetry, 12):
+            for q in (0.0, 0.5, 20.0, 218.0):
+                eigensolves.clear()
+                result = solve(symmetry, m, q)
+                assert eigensolves == [result.truncation], (m, q)
 
-        monkeypatch.setattr(mathieu_mod, "_eigensolve", wobble)
-        with pytest.raises(ConvergenceError) as err:
-            char_value(SymmetryClass.EVEN_PI, 0, 1.0)
-        # The fake alternates -1, +1, ...; the cap is reached on a +1 step.
-        assert err.value.last_two == (-1.0, 1.0)
-        assert "last two iterates -1.0 and 1.0" in str(err.value)
+    def test_large_value_within_rounding(self):
+        # |a| ~ 2e6: an absolute 1e-12 is below one ulp, so the certificate
+        # allows tol plus 4 ulps of the value.
+        cv = char_value(SymmetryClass.EVEN_PI, 0, 1e6)
+        assert cv.truncation == 4032
+        assert cv.value == pytest.approx(-1998000.25003, abs=1e-5)
+
+
+class TestAgainstDoublingLoop:
+    """The certified solve returns the loop's answer bit for bit wherever
+    the loop settled on its first doubling, which it does for |a| < 4096."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 20.0, 218.0, 2000.0])
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_values_bit_identical(self, symmetry, q):
+        for rank in range(13):
+            m = symmetry.order_at(rank)
+            reference, n = doubling_loop(symmetry, (rank, rank), q)
+            cv = char_value(symmetry, m, q)
+            sol = fourier_solution(symmetry, m, q)
+            assert (cv.value, cv.truncation) == (reference[0], n), m
+            assert (sol.value, sol.truncation) == (reference[0], n), m
+        reference, n = doubling_loop(symmetry, (0, 12), q)
+        values = char_values(symmetry, symmetry.order_at(12), q)
+        assert [cv.value for cv in values] == reference
+        assert {cv.truncation for cv in values} == {n}
 
 
 class TestCharValues:

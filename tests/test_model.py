@@ -105,6 +105,11 @@ class TestChannelEnumeration:
         energies = [ch.e_theta for ch, _ in classified]
         assert energies == sorted(energies)
 
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 60.0, 500.0])
+    def test_one_eigensolve_per_family(self, eigensolves, xi):
+        classify_channels(xi)
+        assert len(eigensolves) == 4
+
     def test_classify_rejects_bad_args(self):
         with pytest.raises(ValueError):
             classify_channels(-1.0, max_order=4)

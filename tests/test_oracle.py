@@ -1,7 +1,9 @@
 """Tests for the quarter-period shooting oracle."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,11 @@ class TestErrors:
         assert "within" in str(err.value)
 
 
+#: Brackets of point_by_point_scan for each (family, q) of TestBatchedScan,
+#: up to the top order <= 6; regenerate with ``python tests/test_oracle.py``.
+SCAN_REFERENCE = Path(__file__).with_name("scan_brackets.json")
+
+
 def point_by_point_scan(symmetry, q, rank, lo, hi):
     """The scan as one coarse shooting_defect per grid point, stopping at rank+1."""
     step = oracle_mod.SCAN_STEP
@@ -169,18 +176,39 @@ def point_by_point_scan(symmetry, q, rank, lo, hi):
     return brackets
 
 
+def scan_windows(symmetry, q):
+    """The scan's start and, per order m <= 6 of the family, (rank, window end)."""
+    orders = [m for family, m in LOW_ORDERS if family is symmetry]
+    return -2.0 * q - 1.0, [(symmetry.rank_of(m), float((m + 2) ** 2) + 2.0 * q + 4.0)
+                            for m in orders]
+
+
+def scan_key(symmetry, q):
+    return f"{symmetry.name} {q!r}"
+
+
+def write_scan_reference():
+    """Run the point-by-point scan for every TestBatchedScan case and store it."""
+    reference = {}
+    for symmetry in ALL:
+        for q in SCAN_QS:
+            lo, windows = scan_windows(symmetry, q)
+            top, top_hi = windows[-1]
+            reference[scan_key(symmetry, q)] = point_by_point_scan(symmetry, q, top, lo, top_hi)
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in reference.items()]
+    SCAN_REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
 class TestBatchedScan:
     @pytest.mark.parametrize("symmetry", ALL)
     @pytest.mark.parametrize("q", SCAN_QS)
     def test_brackets_match_point_by_point_scan(self, symmetry, q):
         # A scan for the top rank is one for every lower rank run longer, so
         # one reference per (family, q) covers each order m <= 6 by its prefix.
-        lo = -2.0 * q - 1.0
-        orders = [m for family, m in LOW_ORDERS if family is symmetry]
-        windows = [(symmetry.rank_of(m), float((m + 2) ** 2) + 2.0 * q + 4.0) for m in orders]
-        top, top_hi = windows[-1]
-        reference = point_by_point_scan(symmetry, q, top, lo, top_hi)
-        assert len(reference) == top + 1
+        reference = json.loads(SCAN_REFERENCE.read_text(encoding="utf-8"))
+        reference = [tuple(b) for b in reference[scan_key(symmetry, q)]]
+        lo, windows = scan_windows(symmetry, q)
+        assert len(reference) == windows[-1][0] + 1
         for rank, hi in windows:
             brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
             assert [b[:2] for b in brackets] == reference[:rank + 1]
@@ -341,3 +369,7 @@ class TestProperties:
         # Newton refinement resolves a_0 ~ -q^2/2 = -5e-13 at q = 1e-6, well
         # below its 1e-12 tolerance; the sign is right from q ~ 1e-7.
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) < 0.0
+
+
+if __name__ == "__main__":
+    write_scan_reference()
