@@ -13,7 +13,8 @@ characteristic values.  The m-th one is bracketed by a coarse scan of an
 ``a``-grid, all of whose trial solutions are integrated together as one
 system, and then refined by a safeguarded Newton iteration: each
 tight-tolerance integration also carries the variational equation, so it
-returns the defect's derivative in ``a`` along with the defect.
+returns the defect's derivative in ``a`` along with the defect.  Two
+successive ones give its curvature, which bounds a Newton step's error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ SCAN_STEP = 0.25
 #: Integrator tolerance for the refinement stage.
 FINE_RTOL = 1e-12
 # Refinement integrations before giving up, as brentq's maxiter; Newton
-# needs 1-4, and a tol below the defect's noise at a ~ 0 up to ~50.
+# needs 1-3, and a tol below the defect's noise at a ~ 0 up to ~50.
 _MAX_REFINE = 100
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6
@@ -93,7 +94,7 @@ def _grid_defects(symmetry, grid, q):
     """Coarse defects at every a of ``grid`` from one DOP853 integration.
 
     The state holds one trial solution per grid point, values first and
-    derivatives second; only the signs of the result are used.
+    derivatives second; only its end state is kept, and only its signs used.
     """
     a = np.asarray(grid)
     k = a.size
@@ -104,7 +105,7 @@ def _grid_defects(symmetry, grid, q):
     def rhs(x, y):
         return np.concatenate((y[k:], (2.0 * q * math.cos(2.0 * x) - a) * y[:k]))
 
-    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853",
+    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", t_eval=[_HALF_PI],
                     rtol=_COARSE_RTOL, atol=_COARSE_ATOL)
     if not sol.success:
         raise IntegrationError(
@@ -149,9 +150,11 @@ def oracle_char_value(
     the secant point of the coarse defects, in a bracket one grid step
     wider on each side.  Each tight-tolerance integration gives the
     defect, whose sign replaces one bracket end, and its slope; a Newton
-    step that would leave the bracket is replaced by bisection, and a step
-    or bracket below ``tol`` plus 4 ulps of a ends the search.  Only the
-    argument check is shared with :func:`~quadspec.mathieu.char_value`.
+    step that would leave the bracket is replaced by bisection.  The search
+    ends on a step or bracket below ``tol`` plus 4 ulps of a, or on a step
+    inside the bracket whose Newton error, ~|f''/(2 f')| step^2 with f'' from
+    the previous point, is ten times smaller.  Only the argument check is
+    shared with :func:`~quadspec.mathieu.char_value`.
     """
     rank = _validate(symmetry, m, q, tol)
 
@@ -174,6 +177,7 @@ def oracle_char_value(
     # The defect is positive below the spectrum and changes sign at each
     # simple root, so just below the rank-th root its sign is (-1)**rank.
     positive_below = rank % 2 == 0
+    last = None
     for _ in range(_MAX_REFINE):
         fine = shooting_defect(symmetry, a, q)
         a_lo, a_hi = (a, a_hi) if (fine.mismatch > 0.0) == positive_below else (a_lo, a)
@@ -184,7 +188,15 @@ def oracle_char_value(
             return a + step
         if a_hi - a_lo < resolution:
             return a
-        a = a + step if a_lo < a + step < a_hi else 0.5 * (a_lo + a_hi)
+        inside = a_lo < a + step < a_hi
+        if inside and last is not None:
+            # The last point's linear model misses this defect by ~f''h^2/2,
+            # so this step leaves ~|miss/(h^2 slope)|*step^2; 10 is a margin.
+            h = a - last.a
+            miss = fine.mismatch - last.mismatch - last.slope * h
+            if 10.0 * abs(miss) * step * step < resolution * abs(h * h * fine.slope):
+                return a + step
+        a, last = (a + step if inside else 0.5 * (a_lo + a_hi)), fine
     raise BracketError(
         f"refinement in [{a_lo}, {a_hi}] did not converge within {_MAX_REFINE} "
         f"integrations for {symmetry.cli_name} order {m} at q={q}"

@@ -229,6 +229,20 @@ class TestBatchedScan:
                 assert rtols.count(oracle_mod._COARSE_RTOL) == 1, (symmetry, q)
                 assert set(rtols) == {oracle_mod._COARSE_RTOL, oracle_mod.FINE_RTOL}
 
+    def test_scan_keeps_only_the_end_state(self, monkeypatch):
+        real = oracle_mod.solve_ivp
+        shapes = []
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            if kwargs["rtol"] == oracle_mod._COARSE_RTOL:
+                shapes.append(sol.y.shape)
+            return sol
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+        oracle_char_value(SymmetryClass.EVEN_PI, 6, 40.0)
+        assert len(shapes) == 1 and shapes[0][1] == 1, shapes
+
     def test_failed_integration_names_the_window(self, monkeypatch):
         def failing(*args, **kwargs):
             class Failed:
@@ -241,8 +255,9 @@ class TestBatchedScan:
 
 
 class TestRefinement:
-    @pytest.mark.parametrize("q", SCAN_QS)
-    def test_at_most_four_fine_integrations_per_value(self, monkeypatch, q):
+    def test_at_most_three_fine_integrations_per_value(self, monkeypatch):
+        # Newton's step is certified from the curvature the integration
+        # before it measures, so most values stop after their second one.
         real = oracle_mod.solve_ivp
         rtols = []
 
@@ -251,10 +266,39 @@ class TestRefinement:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
-        for symmetry, m in LOW_ORDERS:
-            rtols.clear()
-            oracle_char_value(symmetry, m, q)
-            assert 1 <= rtols.count(oracle_mod.FINE_RTOL) <= 4, (symmetry, m)
+        counts = []
+        for q in SCAN_QS:
+            for symmetry, m in LOW_ORDERS:
+                rtols.clear()
+                oracle_char_value(symmetry, m, q)
+                counts.append(rtols.count(oracle_mod.FINE_RTOL))
+                assert 1 <= counts[-1] <= 3, (symmetry, m, q)
+        assert sum(count <= 2 for count in counts) >= 45, counts
+
+    @pytest.mark.parametrize("curvature,certified", [(0.1, True), (1e6, False)])
+    def test_certified_step_on_a_quadratic_defect(self, monkeypatch, curvature, certified):
+        # f(a) = (a - r)(1 + c(a - r)) with its exact slope, from a start
+        # 1e-3 above r.  For c = 0.1 the second point's step leaves an error
+        # of ~1e-15 and is certified; for c = 1e6 Newton first halves its way
+        # down to |a - r| ~ 1/c, and must not stop after the second point.
+        symmetry, m, root = SymmetryClass.EVEN_PI, 2, 0.249
+        assert symmetry.rank_of(m) == 1  # the defect rises through this root
+        calls = []
+
+        def quadratic(symmetry, a, q):
+            calls.append(a)
+            e = a - root
+            return oracle_mod.ShootingResult(a, e * (1.0 + curvature * e), 1,
+                                             1.0 + 2.0 * curvature * e)
+
+        def start_above_root(symmetry, q, rank, lo, hi):
+            return [(0.0, 0.5, -1.0, 1.0)] * (rank + 1)  # secant point 0.25
+
+        monkeypatch.setattr(oracle_mod, "shooting_defect", quadratic)
+        monkeypatch.setattr(oracle_mod, "_scan_brackets", start_above_root)
+        value = oracle_char_value(symmetry, m, 1.0)
+        assert abs(value - root) < 1e-12
+        assert (len(calls) == 2) == certified, calls
 
     @pytest.mark.parametrize("symmetry,m,q", [
         (SymmetryClass.EVEN_PI, 0, 0.74070554),
