@@ -6,7 +6,9 @@ roots q_c of a_m(q) = 0 and b_m+1(q) = 0, reported as xi_c = q_c / 4.
 The a_m / b_m+1 curves approach each other faster than exponentially as
 q grows, which is why successive critical strengths come in ever-closer
 pairs; :func:`pairing_gap` measures that approach directly.  Each root
-is an eigenvalue of one q-independent matrix (:func:`zero_crossing`).
+is an eigenvalue of one q-independent matrix (:func:`zero_crossing`); a
+table shares one eigensolve per block of a family's ranks, so a row's last
+bits may depend on its size, within ``tol`` plus 4 ulps, as with char_values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, char_value, family_for_label,
-                      zero_crossing)
+                      zero_crossing, zero_crossings)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,10 @@ def find_critical(
     The curve itself is evaluated once, for the residual |a_m(q_c)|: a
     check on the root that does not rest on how it was found.
     """
-    q_c = zero_crossing(symmetry, m, tol)
+    return _critical_point(symmetry, m, zero_crossing(symmetry, m, tol), tol)
+
+
+def _critical_point(symmetry: SymmetryClass, m: int, q_c: float, tol: float) -> CriticalPoint:
     residual = abs(char_value(symmetry, m, q_c, tol).value)
     return CriticalPoint(symmetry, m, q_c, q_c / 4.0, residual)
 
@@ -55,15 +60,20 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     This order is the order of xi_c: for q > 0 the curves interlace as
     a_m < b_m+1 < a_m+1 (DLMF 28.2(v)) and each crosses zero once, so the
     roots interlace the same way.  It holds even where a pair's spacing is
-    below the root tolerance and the computed xi_c tie or swap.
+    below the root tolerance and the computed xi_c tie or swap.  Roots come
+    from :func:`zero_crossings`, so a row's last bits may depend on max_pairs,
+    within ``tol`` plus 4 ulps of :func:`find_critical`'s.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
-    points = []
-    for m in range(max_pairs):
-        points.append(find_critical(family_for_label("a", m), m, tol))
-        points.append(find_critical(family_for_label("b", m + 1), m + 1, tol))
-    return points
+    modes = [(family_for_label(letter, order), order) for m in range(max_pairs)
+             for letter, order in (("a", m), ("b", m + 1))]
+    # Each family up to its top order, highest first: b_max_pairs's usage checks
+    # cover every row, so a table past the crossing cap fails before any eigensolve.
+    crossings = {symmetry: zero_crossings(symmetry, top, tol)
+                 for symmetry, top in sorted(dict(modes).items(), key=lambda item: -item[1])}
+    return [_critical_point(symmetry, order, crossings[symmetry][symmetry.rank_of(order)], tol)
+            for symmetry, order in modes]
 
 
 def pairing_gap(m: int, q: float, tol: float = DEFAULT_TOL) -> PairingGap:

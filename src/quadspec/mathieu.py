@@ -252,9 +252,9 @@ def _converge(symmetry, ranks, q, tol):
     return values, vecs, n
 
 
-def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> tuple[float, float]:
-    """q > 0 at which the family's rank-th curve crosses zero, from n rows, and
-    the residual bound on it.
+def _crossing(symmetry: SymmetryClass, ranks: tuple[int, int], n: int):
+    """q > 0 at which the family's curves of ranks lo..hi cross zero, from n
+    rows, and the residual bounds on them.
 
     The recurrence matrix D + q M, D = diag(h^2), is singular at q exactly when
     -1/q is an eigenvalue of D^-1/2 M D^-1/2, in the curves' order.  Even/pi
@@ -263,15 +263,36 @@ def _crossing(symmetry: SymmetryClass, rank: int, n: int) -> tuple[float, float]
     moves -1/q by at most that much and q by that times q^2.
     """
     skip = 2 if symmetry is SymmetryClass.EVEN_PI else 0
-    k = rank - skip // 2
     square, _ = _bands(symmetry, 0.0, n + skip)
     diag, off = _bands(symmetry, 1.0, n + skip)
     scale = 1.0 / np.sqrt(square[skip:])
     bands = ((diag - square)[skip:] * scale**2, off[skip:] * scale[:-1] * scale[1:])
-    values, vecs = _eigensolve(bands, (k, k))
-    q_c = -1.0 / values[0]
+    values, vecs = _eigensolve(bands, (ranks[0] - skip // 2, ranks[1] - skip // 2))
+    q_c = -1.0 / np.array(values)
     h_last, h_next = symmetry.harmonics(n + skip + 1)[-2:]
-    return q_c, abs(vecs[-1, 0]) / (h_last * h_next) * q_c**2
+    return q_c, np.abs(vecs[-1]) / (h_last * h_next) * q_c**2
+
+
+def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> list[float]:
+    """Certified crossings of orders lo..hi of one family (see zero_crossings)."""
+    top = _validate(symmetry, orders[1], 0.0, tol)
+    rows = [2 * min(4 * rank + 40, MAX_TRUNCATION // 2) for rank in range(top + 1)]
+    if orders[1] > _MAX_CROSSING_ORDER:
+        raise ValueError(f"the zero crossing of {Mode(symmetry, orders[1]).label} does not "
+                         f"settle within truncation {MAX_TRUNCATION}; orders above "
+                         f"{_MAX_CROSSING_ORDER} are out of reach (rank {top}, "
+                         f"truncation {rows[top]} rows)")
+    crossings = [0.0] if orders[0] == 0 else []  # a_0's root is q = 0
+    lo = symmetry.rank_of(orders[0]) + len(crossings)
+    while lo <= top:
+        hi = max(rank for rank in range(lo, top + 1) if rows[rank] <= 2 * rows[lo])
+        q_c, bounds = _crossing(symmetry, (lo, hi), rows[hi])
+        _certify(lambda i: f"zero crossing of "
+                           f"{Mode(symmetry, symmetry.order_at(lo + i)).label}",
+                 q_c, bounds, tol, rows[hi])
+        crossings += q_c.tolist()
+        lo = hi + 1
+    return crossings
 
 
 def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> float:
@@ -284,18 +305,18 @@ def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> 
     is this order's, so an order above 1518, whose crossing does not settle
     within the truncation cap, is a ValueError.
     """
-    rank = _validate(symmetry, m, 0.0, tol)
-    if symmetry is SymmetryClass.EVEN_PI and m == 0:
-        return 0.0
-    n = 2 * min(max(32, 4 * rank + 40), MAX_TRUNCATION // 2)
-    if m > _MAX_CROSSING_ORDER:
-        raise ValueError(f"the zero crossing of {Mode(symmetry, m).label} does not settle "
-                         f"within truncation {MAX_TRUNCATION}; orders above "
-                         f"{_MAX_CROSSING_ORDER} are out of reach (rank {rank}, "
-                         f"truncation {n} rows)")
-    q_c, bound = _crossing(symmetry, rank, n)
-    _certify(lambda _: f"zero crossing of {Mode(symmetry, m).label}", [q_c], [bound], tol, n)
-    return q_c
+    return _crossings(symmetry, (m, m), tol)[0]
+
+
+def zero_crossings(symmetry: SymmetryClass, max_order: int,
+                   tol: float = DEFAULT_TOL) -> list[float]:
+    """Zero crossings of one family's orders up to max_order, one of its orders;
+    raises like :func:`zero_crossing`, before any eigensolve.  A block of ranks
+    shares one eigensolve, at its top rank's truncation, while that is within
+    twice its lowest rank's; each root is certified as in zero_crossing, so its
+    last bits may differ from that one's, within ``tol`` plus 4 ulps.
+    """
+    return _crossings(symmetry, (symmetry.first_order, max_order), tol)
 
 
 def char_value(

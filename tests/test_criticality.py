@@ -53,6 +53,17 @@ def doubling_crossing(symmetry, m, tol=1e-12):
     raise ConvergenceError("the doubling loop did not settle")
 
 
+def generation_order(max_pairs):
+    """Labels a0, b1, a1, b2, ..., the order critical_table prints."""
+    return [f"{letter}{m + shift}" for m in range(max_pairs)
+            for letter, shift in (("a", 0), ("b", 1))]
+
+
+def printed_value(value):
+    """A value as the CLI prints it, to 12 significant digits."""
+    return float(f"{value:.12g}")
+
+
 # Ten reference critical strengths xi_c (a_0, b_1, ..., a_4, b_5), quoted
 # to ten significant figures; the first six are reproduced to 1e-8 and
 # the near-degenerate last four to 5e-7.
@@ -167,7 +178,7 @@ class TestFindCritical:
         rank = symmetry.rank_of(m)
         n = max(32, 4 * rank + 40)
         for rows in (n, 2 * n, 4 * n):
-            assert abs(mathieu_mod._crossing(symmetry, rank, rows)[0] - q_c) <= 1e-14 * q_c
+            assert abs(mathieu_mod._crossing(symmetry, (rank, rank), rows)[0][0] - q_c) <= 1e-14 * q_c
 
     def test_certificate_failure_names_bound_and_truncation(self, monkeypatch):
         # b30's crossing needs more than 64 rows: its eigenvector's last
@@ -198,6 +209,33 @@ class TestFindCritical:
         assert mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 1201) == pytest.approx(
             4954259.5775, rel=1e-10)
         assert mathieu_mod.zero_crossing(SymmetryClass.EVEN_PI, 1518) > 0.0
+
+
+class TestZeroCrossings:
+    @pytest.mark.parametrize("symmetry", list(SymmetryClass))
+    def test_every_order_within_its_certificate(self, symmetry):
+        crossings = mathieu_mod.zero_crossings(symmetry, symmetry.order_at(40))
+        assert len(crossings) == 41
+        for rank, q_c in enumerate(crossings):
+            single = mathieu_mod.zero_crossing(symmetry, symmetry.order_at(rank))
+            assert abs(q_c - single) < 1e-12 + 4.0 * np.finfo(float).eps * single, rank
+
+    def test_raises_like_zero_crossing_before_any_eigensolve(self, eigensolves):
+        with pytest.raises(ValueError, match="the odd-2pi family has no order-2 member"):
+            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 2)
+        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
+            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 1519)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 3, tol=0.0)
+        assert eigensolves == []
+
+    def test_certificate_failure_names_order_bound_and_truncation(self, monkeypatch):
+        # As for zero_crossing: b2..b28 settle within 64 rows, b30 does not.
+        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
+        with pytest.raises(ConvergenceError, match=r"zero crossing of b30 is not certified "
+                                                   r"to 1e-12: its residual bound is \S+ at "
+                                                   r"truncation 64 \(cap 64\)"):
+            mathieu_mod.zero_crossings(SymmetryClass.ODD_PI, 30)
 
 
 class TestCriticalTable:
@@ -236,21 +274,53 @@ class TestCriticalTable:
         with pytest.raises(ValueError):
             critical_table(0)
 
-    def test_generation_order_is_sorted_below_twenty_pairs(self):
-        # Every table up to 19 pairs is a prefix of this one, so rows in
-        # interlacing order are also in order of the computed xi_c there.
-        table = critical_table(19)
-        assert sorted(table, key=lambda p: p.xi_c) == table
+    def test_order_and_printed_xi_below_twenty_pairs(self):
+        # Each table solves at its own truncations, so a row's last bits depend
+        # on its size: a_m/b_m+1 with m >= 10 lie 0-4 ulps apart and may tie or
+        # swap (a18/b19 at 19 pairs), but they print alike.
+        for max_pairs in range(1, 20):
+            table = critical_table(max_pairs)
+            assert [p.label for p in table] == generation_order(max_pairs)
+            printed = [printed_value(p.xi_c) for p in table]
+            assert all(lo <= hi for lo, hi in zip(printed, printed[1:])), max_pairs
+            for lo, hi, shown_lo, shown_hi in zip(table, table[1:], printed, printed[1:]):
+                if lo.symmetry.letter == "a" and lo.order >= 10:
+                    assert shown_lo == shown_hi, (max_pairs, lo.label)
+                else:
+                    assert lo.xi_c < hi.xi_c, (max_pairs, lo.label, hi.label)
+
+    @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 8)])
+    def test_one_eigensolve_per_block_of_ranks(self, eigensolves, max_pairs, crossing_solves):
+        # Ranks <= 10 of a family share one crossing solve, ranks 11..29 a
+        # second; each row adds one residual char_value solve.
+        critical_table(max_pairs)
+        assert len(eigensolves) == crossing_solves + 2 * max_pairs
+
+    def test_rows_agree_with_find_critical(self):
+        tol = mathieu_mod.DEFAULT_TOL
+        reference = {}
+        for max_pairs in (1, 5, 14, 60, 200):
+            for point in critical_table(max_pairs):
+                if point.label not in reference:
+                    reference[point.label] = find_critical(point.symmetry, point.order)
+                ref = reference[point.label]
+                assert abs(point.q_c - ref.q_c) < tol + 4.0 * np.finfo(float).eps * ref.q_c, (
+                    max_pairs, point.label)
+                assert printed_value(point.q_c) == printed_value(ref.q_c), point.label
+                assert printed_value(point.xi_c) == printed_value(ref.xi_c), point.label
+
+    def test_past_the_crossing_cap_fails_before_any_eigensolve(self, eigensolves):
+        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
+            critical_table(1519)
+        assert eigensolves == []
 
     @pytest.mark.parametrize("max_pairs", [30, 60])
     def test_interlacing_order_and_printed_xi_nondecreasing(self, max_pairs):
         table = critical_table(max_pairs)
-        expected = [f"{letter}{m + shift}" for m in range(max_pairs)
-                    for letter, shift in (("a", 0), ("b", 1))]
-        assert [p.label for p in table] == expected
+        assert [p.label for p in table] == generation_order(max_pairs)
         # At 30 pairs b20's xi_c is a few ulps below a19's, yet a19 comes first;
         # the printed 12 digits agree, so the column as printed never decreases.
-        printed = [float(f"{p.xi_c:.12g}") for p in table]
+        printed = [printed_value(p.xi_c) for p in table]
         assert all(lo <= hi for lo, hi in zip(printed, printed[1:]))
 
     def test_thirty_pairs_are_sign_changes(self):
