@@ -5,10 +5,10 @@ its characteristic curve crosses zero, so the critical strengths are the
 roots q_c of a_m(q) = 0 and b_m+1(q) = 0, reported as xi_c = q_c / 4.
 The a_m / b_m+1 curves approach each other faster than exponentially as
 q grows, which is why successive critical strengths come in ever-closer
-pairs; :func:`pairing_gap` measures that approach directly.  Each root
-is an eigenvalue of one q-independent matrix (:func:`zero_crossing`); a
-table shares one eigensolve per block of a family's ranks, so a row's last
-bits may depend on its size, within ``tol`` plus 4 ulps, as with char_values.
+pairs; :func:`pairing_gap` measures that approach directly.  Each root and
+its residual come from one eigenpair of a q-independent matrix
+(:func:`find_critical`); a table shares one eigensolve per block of a family's
+ranks, so a row's last bits may depend on its size, within ``tol`` plus 4 ulps.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, char_value, family_for_label,
-                      zero_crossing, zero_crossings)
+from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, _crossings, char_value,
+                      family_for_label)
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,16 @@ def find_critical(
 ) -> CriticalPoint:
     """Zero crossing q_c of one characteristic curve (:func:`zero_crossing`).
 
-    The curve itself is evaluated once, for the residual |a_m(q_c)|: a
-    check on the root that does not rest on how it was found.
+    The residual |a_m(q_c)| is the Rayleigh quotient of the root's own
+    eigenvector, so a root off by d shows as |a_m'(q_c) d|; it is not a second
+    evaluation of the curve at :func:`char_value`'s own truncation.
     """
-    return _critical_point(symmetry, m, zero_crossing(symmetry, m, tol), tol)
+    return _critical_points(symmetry, (m, m), tol)[0]
 
 
-def _critical_point(symmetry: SymmetryClass, m: int, q_c: float, tol: float) -> CriticalPoint:
-    residual = abs(char_value(symmetry, m, q_c, tol).value)
-    return CriticalPoint(symmetry, m, q_c, q_c / 4.0, residual)
+def _critical_points(symmetry: SymmetryClass, orders: tuple[int, int], tol: float):
+    return [CriticalPoint(symmetry, orders[0] + 2 * i, q_c, q_c / 4.0, residual)
+            for i, (q_c, residual) in enumerate(_crossings(symmetry, orders, tol))]
 
 
 def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoint]:
@@ -60,20 +61,22 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     This order is the order of xi_c: for q > 0 the curves interlace as
     a_m < b_m+1 < a_m+1 (DLMF 28.2(v)) and each crosses zero once, so the
     roots interlace the same way.  It holds even where a pair's spacing is
-    below the root tolerance and the computed xi_c tie or swap.  Roots come
-    from :func:`zero_crossings`, so a row's last bits may depend on max_pairs,
-    within ``tol`` plus 4 ulps of :func:`find_critical`'s.
+    below the root tolerance and the computed xi_c tie or swap.  Each family's
+    roots come as in :func:`zero_crossings`, so a row's last bits may depend
+    on max_pairs, within ``tol`` plus 4 ulps of :func:`find_critical`'s.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
-    modes = [(family_for_label(letter, order), order) for m in range(max_pairs)
-             for letter, order in (("a", m), ("b", m + 1))]
-    # Each family up to its top order, highest first: b_max_pairs's usage checks
-    # cover every row, so a table past the crossing cap fails before any eigensolve.
-    crossings = {symmetry: zero_crossings(symmetry, top, tol)
-                 for symmetry, top in sorted(dict(modes).items(), key=lambda item: -item[1])}
-    return [_critical_point(symmetry, order, crossings[symmetry][symmetry.rank_of(order)], tol)
-            for symmetry, order in modes]
+    # Each family to its top order, highest first: b_max_pairs's checks cover every
+    # row, so a table past the crossing cap fails before any work, and the heap
+    # reuses the largest eigenvector block (1518 pairs peak at 110 MB, not 115).
+    tops = [("b", max_pairs), ("a", max_pairs - 1), ("b", max_pairs - 1), ("a", max_pairs - 2)]
+    points = {}
+    for letter, top in tops[:2 * min(max_pairs, 2)]:
+        symmetry = family_for_label(letter, top)
+        points[symmetry] = _critical_points(symmetry, (symmetry.first_order, top), tol)
+    return [points[family_for_label(letter, m + shift)][m // 2]  # a_m, b_m+1: rank m // 2
+            for m in range(max_pairs) for letter, shift in (("a", 0), ("b", 1))]
 
 
 def pairing_gap(m: int, q: float, tol: float = DEFAULT_TOL) -> PairingGap:

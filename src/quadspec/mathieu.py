@@ -254,27 +254,41 @@ def _converge(symmetry, ranks, q, tol):
 
 def _crossing(symmetry: SymmetryClass, ranks: tuple[int, int], n: int):
     """q > 0 at which the family's curves of ranks lo..hi cross zero, from n
-    rows, and the residual bounds on them.
+    rows, the residual bounds on them and the curves' values there.
 
     The recurrence matrix D + q M, D = diag(h^2), is singular at q exactly when
     -1/q is an eigenvalue of D^-1/2 M D^-1/2, in the curves' order.  Even/pi
     drops rows 0 and 1 and a_0: at a = 0 with h_0 = 0, row 0 forces A_2 = 0.
     The eigenvector leaves out one term, v[-1] / (h_last * h_next), which
-    moves -1/q by at most that much and q by that times q^2.
+    moves -1/q by at most that much and q by that times q^2.  The Rayleigh
+    quotient of u = D^-1/2 v on D + q_c M, row by row, is a(q_c) to second order
+    in v's error, or a'(q_c) d for a root off by d; even/pi's dropped rows hold
+    (-u[0] / sqrt(2), 0), which add to u^T u only.
     """
     skip = 2 if symmetry is SymmetryClass.EVEN_PI else 0
     square, _ = _bands(symmetry, 0.0, n + skip)
     diag, off = _bands(symmetry, 1.0, n + skip)
-    scale = 1.0 / np.sqrt(square[skip:])
-    bands = ((diag - square)[skip:] * scale**2, off[skip:] * scale[:-1] * scale[1:])
-    values, vecs = _eigensolve(bands, (ranks[0] - skip // 2, ranks[1] - skip // 2))
+    square, couple, off = square[skip:], (diag - square)[skip:], off[skip:]
+    scale = 1.0 / np.sqrt(square)
+    values, vecs = _eigensolve((couple * scale**2, off * scale[:-1] * scale[1:]),
+                               (ranks[0] - skip // 2, ranks[1] - skip // 2))
     q_c = -1.0 / np.array(values)
     h_last, h_next = symmetry.harmonics(n + skip + 1)[-2:]
-    return q_c, np.abs(vecs[-1]) / (h_last * h_next) * q_c**2
+    curve = np.empty_like(q_c)
+    for j in range(0, len(q_c), 32):  # 32 columns at a time bound the temporaries
+        u = vecs[:, j:j + 32] * scale[:, None]
+        tu = couple[:, None] * u
+        tu[1:] += off[:, None] * u[:-1]
+        tu[:-1] += off[:, None] * u[1:]
+        tu = square[:, None] * u + q_c[j:j + 32] * tu
+        norm = np.einsum("ij,ij->j", u, u) + (u[0] ** 2 / 2 if skip else 0.0)
+        curve[j:j + 32] = np.abs(np.einsum("ij,ij->j", u, tu)) / norm
+    return q_c, np.abs(vecs[-1]) / (h_last * h_next) * q_c**2, curve
 
 
-def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> list[float]:
-    """Certified crossings of orders lo..hi of one family (see zero_crossings)."""
+def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> list:
+    """Certified crossings q_c of orders lo..hi of one family (see zero_crossings),
+    each as (q_c, |a(q_c)|) (see _crossing)."""
     top = _validate(symmetry, orders[1], 0.0, tol)
     rows = [2 * min(4 * rank + 40, MAX_TRUNCATION // 2) for rank in range(top + 1)]
     if orders[1] > _MAX_CROSSING_ORDER:
@@ -282,15 +296,15 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
                          f"settle within truncation {MAX_TRUNCATION}; orders above "
                          f"{_MAX_CROSSING_ORDER} are out of reach (rank {top}, "
                          f"truncation {rows[top]} rows)")
-    crossings = [0.0] if orders[0] == 0 else []  # a_0's root is q = 0
+    crossings = [(0.0, 0.0)] if orders[0] == 0 else []  # a_0(0) = 0 exactly
     lo = symmetry.rank_of(orders[0]) + len(crossings)
     while lo <= top:
         hi = max(rank for rank in range(lo, top + 1) if rows[rank] <= 2 * rows[lo])
-        q_c, bounds = _crossing(symmetry, (lo, hi), rows[hi])
+        q_c, bounds, curve = _crossing(symmetry, (lo, hi), rows[hi])
         _certify(lambda i: f"zero crossing of "
                            f"{Mode(symmetry, symmetry.order_at(lo + i)).label}",
                  q_c, bounds, tol, rows[hi])
-        crossings += q_c.tolist()
+        crossings += zip(q_c.tolist(), curve.tolist())
         lo = hi + 1
     return crossings
 
@@ -305,7 +319,7 @@ def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> 
     is this order's, so an order above 1518, whose crossing does not settle
     within the truncation cap, is a ValueError.
     """
-    return _crossings(symmetry, (m, m), tol)[0]
+    return _crossings(symmetry, (m, m), tol)[0][0]
 
 
 def zero_crossings(symmetry: SymmetryClass, max_order: int,
@@ -316,7 +330,7 @@ def zero_crossings(symmetry: SymmetryClass, max_order: int,
     twice its lowest rank's; each root is certified as in zero_crossing, so its
     last bits may differ from that one's, within ``tol`` plus 4 ulps.
     """
-    return _crossings(symmetry, (symmetry.first_order, max_order), tol)
+    return [q_c for q_c, _ in _crossings(symmetry, (symmetry.first_order, max_order), tol)]
 
 
 def char_value(

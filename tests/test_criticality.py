@@ -1,6 +1,7 @@
 """Tests for critical-strength location and the pairing gap."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,38 +119,58 @@ class TestFindCritical:
         with pytest.raises(ValueError):
             find_critical(SymmetryClass.ODD_2PI, 1, tol=0.0)
 
-    def test_passes_tol_to_every_curve_evaluation(self, monkeypatch):
-        real = criticality_mod.char_value
-        seen = set()
+    def test_passes_tol_to_the_crossing_certificate(self, monkeypatch):
+        real, seen = mathieu_mod._certify, []
 
-        def recording(symmetry, m, q, tol=1e-12):
-            seen.add(tol)
-            return real(symmetry, m, q, tol)
+        def recording(name_of, values, bounds, tol, n):
+            seen.append(tol)
+            return real(name_of, values, bounds, tol, n)
 
-        monkeypatch.setattr(criticality_mod, "char_value", recording)
+        monkeypatch.setattr(mathieu_mod, "_certify", recording)
         find_critical(SymmetryClass.ODD_2PI, 1, tol=1e-9)
-        assert seen == {1e-9}
+        assert seen == [1e-9]
 
-    def test_each_root_costs_one_curve_evaluation_and_one_eigensolve(self, monkeypatch,
-                                                                       eigensolves):
-        # The root is an eigenvalue, certified by its eigenvector, so the only
-        # curve evaluation is the residual check.
-        real_curve, curve_calls = criticality_mod.char_value, []
+    def test_each_root_costs_one_eigensolve_and_no_curve_evaluation(self, monkeypatch,
+                                                                      eigensolves):
+        # The root is an eigenvalue, certified by its eigenvector, and that
+        # eigenvector's Rayleigh quotient is the residual.
+        def no_curve(*args, **kwargs):
+            raise AssertionError(f"char_value{args} called")
 
-        def counting_curve(symmetry, m, q, tol=1e-12):
-            curve_calls.append(q)
-            return real_curve(symmetry, m, q, tol)
+        monkeypatch.setattr(criticality_mod, "char_value", no_curve)
+        monkeypatch.setattr(mathieu_mod, "char_value", no_curve)
+        for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
+            for m in orders:
+                eigensolves.clear()
+                find_critical(family_for_label(letter, m), m)
+                assert len(eigensolves) == 1, f"{letter}{m}: {len(eigensolves)} eigensolves"
 
-        monkeypatch.setattr(criticality_mod, "char_value", counting_curve)
+    def test_residual_and_curve_vanish_at_the_root(self):
+        # The independent check: char_value at its own truncation, at q_c.
         for letter, orders in (("a", range(1, 30)), ("b", range(1, 31))):
             for m in orders:
                 symmetry = family_for_label(letter, m)
-                eigensolves.clear()
-                mathieu_mod.zero_crossing(symmetry, m)
-                assert len(eigensolves) == 1, f"{letter}{m}: {len(eigensolves)} eigensolves"
-                curve_calls.clear()
-                find_critical(symmetry, m)
-                assert len(curve_calls) == 1, f"{letter}{m}: {len(curve_calls)} evaluations"
+                point = find_critical(symmetry, m)
+                assert point.residual <= 1e-10, f"{letter}{m}"
+                assert abs(char_value(symmetry, m, point.q_c).value) <= 1e-10, f"{letter}{m}"
+
+    @pytest.mark.parametrize("label", ["b1", "a1", "a5", "b10", "a2", "a4"])
+    def test_residual_shows_a_wrong_root(self, monkeypatch, label):
+        # Each root moved by 1e-9 relative, its eigenvector kept: the residual
+        # must read the curve's value there.  a2 and a4 are even/pi, whose
+        # crossing drops two rows of the recurrence.
+        real = mathieu_mod._eigensolve
+
+        def shifted(bands, ranks):
+            values, vectors = real(bands, ranks)
+            return [value / (1.0 + 1e-9) for value in values], vectors
+
+        monkeypatch.setattr(mathieu_mod, "_eigensolve", shifted)
+        symmetry, m = parse_label(label)
+        point = find_critical(symmetry, m)
+        curve = abs(char_value(symmetry, m, point.q_c).value)
+        assert curve > 1e-10
+        assert point.residual == pytest.approx(curve, rel=1e-4)
 
     def test_crossings_bit_identical_to_doubling_loop(self):
         for letter in "ab":
@@ -292,9 +313,17 @@ class TestCriticalTable:
     @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 8)])
     def test_one_eigensolve_per_block_of_ranks(self, eigensolves, max_pairs, crossing_solves):
         # Ranks <= 10 of a family share one crossing solve, ranks 11..29 a
-        # second; each row adds one residual char_value solve.
+        # second; each row's residual comes from its crossing's eigenvector.
         critical_table(max_pairs)
-        assert len(eigensolves) == crossing_solves + 2 * max_pairs
+        assert len(eigensolves) == crossing_solves
+
+    def test_residuals_agree_with_char_value(self):
+        table = critical_table(60)
+        assert table[0].label == "a0" and table[0].residual == 0.0
+        for point in table:
+            assert point.residual <= 1e-10, point.label
+            curve = char_value(point.symmetry, point.order, point.q_c).value
+            assert abs(curve) <= 1e-10, point.label
 
     def test_rows_agree_with_find_critical(self):
         tol = mathieu_mod.DEFAULT_TOL
@@ -312,6 +341,14 @@ class TestCriticalTable:
     def test_past_the_crossing_cap_fails_before_any_eigensolve(self, eigensolves):
         with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
             critical_table(1519)
+        assert eigensolves == []
+
+    def test_huge_table_fails_before_listing_its_rows(self, eigensolves):
+        # Listing the rows first took 12 s and 280 MB at 10**6 pairs.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="b1000000000 is beyond the truncation cap"):
+            critical_table(10**9)
+        assert time.perf_counter() - start < 1.0
         assert eigensolves == []
 
     @pytest.mark.parametrize("max_pairs", [30, 60])
