@@ -41,11 +41,10 @@ class PairingGap:
 def find_critical(
     symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL
 ) -> CriticalPoint:
-    """Zero crossing q_c of one characteristic curve (:func:`zero_crossing`).
+    """Zero crossing q_c of one characteristic curve (see mathieu._crossings).
 
     The residual |a_m(q_c)| is the Rayleigh quotient of the root's own
-    eigenvector, so a root off by d shows as |a_m'(q_c) d|; it is not a second
-    evaluation of the curve at :func:`char_value`'s own truncation.
+    eigenvector, so a root off by d shows as |a_m'(q_c) d|.
     """
     return _critical_points(symmetry, (m, m), tol)[0]
 
@@ -62,8 +61,8 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     a_m < b_m+1 < a_m+1 (DLMF 28.2(v)) and each crosses zero once, so the
     roots interlace the same way.  It holds even where a pair's spacing is
     below the root tolerance and the computed xi_c tie or swap.  Each family's
-    roots come as in :func:`zero_crossings`, so a row's last bits may depend
-    on max_pairs, within ``tol`` plus 4 ulps of :func:`find_critical`'s.
+    roots share eigensolves as in mathieu._crossings, so a row's last bits may
+    depend on max_pairs, within ``tol`` plus 4 ulps of :func:`find_critical`'s.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")

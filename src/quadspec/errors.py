@@ -10,7 +10,7 @@ class ConvergenceError(SolverError):
 
 
 class BracketError(SolverError):
-    """A sign-change scan exhausted its window without finding a root."""
+    """A sign-change scan found no root, or Newton refinement hit its integration cap."""
 
 
 class IntegrationError(SolverError):

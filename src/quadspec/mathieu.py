@@ -287,8 +287,16 @@ def _crossing(symmetry: SymmetryClass, ranks: tuple[int, int], n: int):
 
 
 def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> list:
-    """Certified crossings q_c of orders lo..hi of one family (see zero_crossings),
-    each as (q_c, |a(q_c)|) (see _crossing)."""
+    """Zero crossings of orders lo..hi of one family, each as (q_c, |a(q_c)|).
+
+    a_0 starts at zero and is then negative, so its root is q = 0; every other
+    curve starts at m^2 > 0 and crosses zero once.  Ranks share one eigensolve in
+    blocks, at the top rank's truncation while that is within twice the lowest's,
+    so a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
+    plus 4 ulps of q_c, which shows only that *some* crossing lies that close, so
+    orders above 1518, whose crossings do not settle within the truncation cap,
+    are a ValueError.  Every argument check runs before any eigensolve.
+    """
     top = _validate(symmetry, orders[1], 0.0, tol)
     rows = [2 * min(4 * rank + 40, MAX_TRUNCATION // 2) for rank in range(top + 1)]
     if orders[1] > _MAX_CROSSING_ORDER:
@@ -307,30 +315,6 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
         crossings += zip(q_c.tolist(), curve.tolist())
         lo = hi + 1
     return crossings
-
-
-def zero_crossing(symmetry: SymmetryClass, m: int, tol: float = DEFAULT_TOL) -> float:
-    """The one q >= 0 at which a_m(q) / b_m(q) is zero; raises like char_value.
-
-    a_0 starts at zero and stays negative, so its root is q = 0; every other
-    curve starts at m^2 > 0 and crosses zero once.  One eigensolve gives the
-    crossing, certified like a characteristic value to ``tol`` plus 4 ulps of
-    q.  The certificate shows that some crossing lies that close, not that it
-    is this order's, so an order above 1518, whose crossing does not settle
-    within the truncation cap, is a ValueError.
-    """
-    return _crossings(symmetry, (m, m), tol)[0][0]
-
-
-def zero_crossings(symmetry: SymmetryClass, max_order: int,
-                   tol: float = DEFAULT_TOL) -> list[float]:
-    """Zero crossings of one family's orders up to max_order, one of its orders;
-    raises like :func:`zero_crossing`, before any eigensolve.  A block of ranks
-    shares one eigensolve, at its top rank's truncation, while that is within
-    twice its lowest rank's; each root is certified as in zero_crossing, so its
-    last bits may differ from that one's, within ``tol`` plus 4 ulps.
-    """
-    return [q_c for q_c, _ in _crossings(symmetry, (symmetry.first_order, max_order), tol)]
 
 
 def char_value(

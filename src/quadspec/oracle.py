@@ -33,8 +33,8 @@ _HALF_PI = math.pi / 2.0
 SCAN_STEP = 0.25
 #: Integrator tolerance for the refinement stage.
 FINE_RTOL = 1e-12
-# Refinement integrations before giving up, as brentq's maxiter; Newton
-# needs 1-3, and a tol below the defect's noise at a ~ 0 up to ~50.
+# Refinement integrations before giving up: Newton needs 1-3, and a tol
+# below the defect's noise at a ~ 0 up to ~50.
 _MAX_REFINE = 100
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6

@@ -113,11 +113,13 @@ class TestFindCritical:
         point = find_critical(SymmetryClass.ODD_PI, 2)
         assert point.xi_c == point.q_c / 4.0
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_arguments(self, eigensolves):
+        with pytest.raises(ValueError, match="the odd-2pi family has no order-2 member"):
             find_critical(SymmetryClass.ODD_2PI, 2)
-        with pytest.raises(ValueError):
+        assert eigensolves == []
+        with pytest.raises(ValueError, match="tol must be positive"):
             find_critical(SymmetryClass.ODD_2PI, 1, tol=0.0)
+        assert eigensolves == []
 
     def test_passes_tol_to_the_crossing_certificate(self, monkeypatch):
         real, seen = mathieu_mod._certify, []
@@ -176,7 +178,7 @@ class TestFindCritical:
         for letter in "ab":
             for m in range(1, 121):
                 symmetry = family_for_label(letter, m)
-                assert mathieu_mod.zero_crossing(symmetry, m) == doubling_crossing(symmetry, m), (
+                assert find_critical(symmetry, m).q_c == doubling_crossing(symmetry, m), (
                     f"{letter}{m}")
 
     def test_matches_brentq_on_the_curve(self):
@@ -219,44 +221,17 @@ class TestFindCritical:
         # only 2048 rows it once had no crossing and reported a negative one.
         message = r"b2201 .* \(rank 1100, truncation 4096 rows\)"
         with pytest.raises(ValueError, match=message):
-            mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 2201)
+            find_critical(SymmetryClass.ODD_2PI, 2201)
 
     def test_crossing_beyond_the_truncation_cap_is_a_usage_error(self):
         # b1601's 2048- and 4096-row crossings differ by ~1e5; it used to
         # raise ConvergenceError although every check had accepted it.
         with pytest.raises(ValueError, match="b1601 does not settle within truncation 4096"):
-            mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 1601)
+            find_critical(SymmetryClass.ODD_2PI, 1601)
         # The highest orders that settle are kept: b1201 and a1518.
-        assert mathieu_mod.zero_crossing(SymmetryClass.ODD_2PI, 1201) == pytest.approx(
+        assert find_critical(SymmetryClass.ODD_2PI, 1201).q_c == pytest.approx(
             4954259.5775, rel=1e-10)
-        assert mathieu_mod.zero_crossing(SymmetryClass.EVEN_PI, 1518) > 0.0
-
-
-class TestZeroCrossings:
-    @pytest.mark.parametrize("symmetry", list(SymmetryClass))
-    def test_every_order_within_its_certificate(self, symmetry):
-        crossings = mathieu_mod.zero_crossings(symmetry, symmetry.order_at(40))
-        assert len(crossings) == 41
-        for rank, q_c in enumerate(crossings):
-            single = mathieu_mod.zero_crossing(symmetry, symmetry.order_at(rank))
-            assert abs(q_c - single) < 1e-12 + 4.0 * np.finfo(float).eps * single, rank
-
-    def test_raises_like_zero_crossing_before_any_eigensolve(self, eigensolves):
-        with pytest.raises(ValueError, match="the odd-2pi family has no order-2 member"):
-            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 2)
-        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
-            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 1519)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            mathieu_mod.zero_crossings(SymmetryClass.ODD_2PI, 3, tol=0.0)
-        assert eigensolves == []
-
-    def test_certificate_failure_names_order_bound_and_truncation(self, monkeypatch):
-        # As for zero_crossing: b2..b28 settle within 64 rows, b30 does not.
-        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
-        with pytest.raises(ConvergenceError, match=r"zero crossing of b30 is not certified "
-                                                   r"to 1e-12: its residual bound is \S+ at "
-                                                   r"truncation 64 \(cap 64\)"):
-            mathieu_mod.zero_crossings(SymmetryClass.ODD_PI, 30)
+        assert find_critical(SymmetryClass.EVEN_PI, 1518).q_c > 0.0
 
 
 class TestCriticalTable:
