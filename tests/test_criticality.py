@@ -234,6 +234,40 @@ class TestFindCritical:
         assert find_critical(SymmetryClass.EVEN_PI, 1518).q_c > 0.0
 
 
+class TestCrossings:
+    """The contract of mathieu._crossings, the one crossing implementation."""
+
+    @pytest.mark.parametrize("symmetry", list(SymmetryClass))
+    def test_every_order_within_its_certificate(self, symmetry):
+        tol = mathieu_mod.DEFAULT_TOL
+        crossings = mathieu_mod._crossings(
+            symmetry, (symmetry.first_order, symmetry.order_at(40)), tol)
+        assert len(crossings) == 41
+        if symmetry is SymmetryClass.EVEN_PI:
+            assert crossings[0] == (0.0, 0.0)  # a_0's root is q = 0
+        for rank, (q_c, residual) in enumerate(crossings):
+            single = find_critical(symmetry, symmetry.order_at(rank))
+            assert abs(q_c - single.q_c) < tol + 4.0 * np.finfo(float).eps * single.q_c, rank
+            assert residual < 1e-12 * max(1.0, q_c), rank
+
+    def test_raises_before_any_eigensolve(self, eigensolves):
+        with pytest.raises(ValueError, match="the odd-2pi family has no order-2 member"):
+            mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 2), 1e-12)
+        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
+            mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 1519), 1e-12)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 3), 0.0)
+        assert eigensolves == []
+
+    def test_certificate_failure_names_order_bound_and_truncation(self, monkeypatch):
+        # As for find_critical: b2..b28 settle within 64 rows, b30 does not.
+        monkeypatch.setattr(mathieu_mod, "MAX_TRUNCATION", 64)
+        with pytest.raises(ConvergenceError, match=r"zero crossing of b30 is not certified "
+                                                   r"to 1e-12: its residual bound is \S+ at "
+                                                   r"truncation 64 \(cap 64\)"):
+            mathieu_mod._crossings(SymmetryClass.ODD_PI, (2, 30), 1e-12)
+
+
 class TestCriticalTable:
     def test_reproduces_reference_values(self, table5):
         assert len(table5) == 10
