@@ -55,7 +55,7 @@ TAIL_TOL = 1e-10
 #: Hard cap on the truncation size.
 MAX_TRUNCATION = 4096
 # Highest order whose zero crossing settles within MAX_TRUNCATION rows, in every
-# family (measured): its coefficients at a = 0 decay only past row ~2.6 * rank.
+# family (measured); its rank, at most 759, is solved at <= 2680 rows (_crossings).
 _MAX_CROSSING_ORDER = 1518
 
 _SQRT2 = math.sqrt(2.0)
@@ -290,15 +290,18 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
     """Zero crossings of orders lo..hi of one family, each as (q_c, |a(q_c)|).
 
     a_0 starts at zero and is then negative, so its root is q = 0; every other
-    curve starts at m^2 > 0 and crosses zero once.  Ranks share one eigensolve in
-    blocks, at the top rank's truncation while that is within twice the lowest's,
-    so a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
+    curve starts at m^2 > 0 and crosses zero once.  At a = 0 rank r's coefficients
+    decay from row ~2.6r on, so it is solved at 2 * ((7r + 48) // 4) ~ 3.5r + 24
+    rows, which passed every certificate for each order <= 1518 of each family,
+    alone and in tables of up to 1518 pairs.  Ranks share one eigensolve in
+    blocks, at the top rank's rows while those are within twice the lowest's, so
+    a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
     plus 4 ulps of q_c, which shows only that *some* crossing lies that close, so
     orders above 1518, whose crossings do not settle within the truncation cap,
     are a ValueError.  Every argument check runs before any eigensolve.
     """
     top = _validate(symmetry, orders[1], 0.0, tol)
-    rows = [2 * min(4 * rank + 40, MAX_TRUNCATION // 2) for rank in range(top + 1)]
+    rows = [min(2 * ((7 * rank + 48) // 4), MAX_TRUNCATION) for rank in range(top + 1)]
     if orders[1] > _MAX_CROSSING_ORDER:
         raise ValueError(f"the zero crossing of {Mode(symmetry, orders[1]).label} does not "
                          f"settle within truncation {MAX_TRUNCATION}; orders above "

@@ -174,12 +174,18 @@ class TestFindCritical:
         assert curve > 1e-10
         assert point.residual == pytest.approx(curve, rel=1e-4)
 
-    def test_crossings_bit_identical_to_doubling_loop(self):
+    def test_crossings_agree_with_doubling_loop(self):
+        # The loop ends at 2 * max(32, 4r + 40) rows and the crossing solves at
+        # ~3.5r + 24, so the last bit may differ (a4 by 1 ulp): agreement is the
+        # certificate's, tol plus 4 ulps, and the printed 12 digits.
+        tol = mathieu_mod.DEFAULT_TOL
         for letter in "ab":
             for m in range(1, 121):
                 symmetry = family_for_label(letter, m)
-                assert find_critical(symmetry, m).q_c == doubling_crossing(symmetry, m), (
+                q_c, reference = find_critical(symmetry, m).q_c, doubling_crossing(symmetry, m)
+                assert abs(q_c - reference) < tol + 4.0 * np.finfo(float).eps * reference, (
                     f"{letter}{m}")
+                assert printed_value(q_c) == printed_value(reference), f"{letter}{m}"
 
     def test_matches_brentq_on_the_curve(self):
         # Reference: the root of char_value itself, refined by brentq inside
@@ -219,7 +225,7 @@ class TestFindCritical:
     def test_rank_beyond_start_truncation_is_a_usage_error(self):
         # b2201 (rank 1100) is above the highest order that settles; with
         # only 2048 rows it once had no crossing and reported a negative one.
-        message = r"b2201 .* \(rank 1100, truncation 4096 rows\)"
+        message = r"b2201 .* \(rank 1100, truncation 3874 rows\)"
         with pytest.raises(ValueError, match=message):
             find_critical(SymmetryClass.ODD_2PI, 2201)
 
@@ -286,10 +292,15 @@ class TestCriticalTable:
             assert abs(oracle) < 1e-8
 
     def test_prefix_property(self, table5):
+        # b1 is solved at 24 rows alone and at 30 in the 5-pair table's block,
+        # so its last bit may differ; it agrees within tol plus 4 ulps.
         short = critical_table(1)
         assert [p.label for p in short] == ["a0", "b1"]
-        assert short[0].q_c == table5[0].q_c
-        assert short[1].q_c == table5[1].q_c
+        assert short[0].q_c == table5[0].q_c == 0.0
+        reference = table5[1].q_c
+        assert abs(short[1].q_c - reference) < (mathieu_mod.DEFAULT_TOL
+                                                + 4.0 * np.finfo(float).eps * reference)
+        assert printed_value(short[1].q_c) == printed_value(reference)
 
     def test_six_pairs_extend_beyond_reference(self, table5):
         extended = critical_table(6)
@@ -319,12 +330,17 @@ class TestCriticalTable:
                 else:
                     assert lo.xi_c < hi.xi_c, (max_pairs, lo.label, hi.label)
 
-    @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 8)])
+    @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 12)])
     def test_one_eigensolve_per_block_of_ranks(self, eigensolves, max_pairs, crossing_solves):
-        # Ranks <= 10 of a family share one crossing solve, ranks 11..29 a
-        # second; each row's residual comes from its crossing's eigenvector.
+        # A block runs while its top rank's rows are within twice its lowest's:
+        # at 60 pairs, ranks 0..7, 8..23 and 24..29 of a family (1..8, 9..24 and
+        # 25..29 for even/pi, which skips a_0), each block at its top rank's
+        # 2 * ((7r + 48) // 4) rows; each row's residual comes from its
+        # crossing's eigenvector.
+        rows = {14: [44] * 4, 60: [48, 104, 124] * 3 + [52, 108, 124]}
         critical_table(max_pairs)
         assert len(eigensolves) == crossing_solves
+        assert eigensolves == rows[max_pairs]
 
     def test_residuals_agree_with_char_value(self):
         table = critical_table(60)
@@ -380,6 +396,57 @@ class TestCriticalTable:
             value = lambda q: char_value(point.symmetry, point.order, q).value
             assert value(point.q_c * (1 - 1e-9)) > 0, point.label
             assert value(point.q_c * (1 + 1e-9)) < 0, point.label
+
+
+# WKB at a = 0: y'' = 2q cos 2x y has two wells and two barriers of action
+# sqrt(2q) C, C = int_0^pi/2 sqrt(cos u) du, so a_m and b_m+1 cross zero near
+# q = Q(s) + C0 with s = m + 1/2, and their roots split by tunnelling.  C0 is
+# measured (to 7 digits) on critical_table(1518); the laws need no recurrence.
+WKB_C = (2.0 * math.pi) ** 1.5 / math.gamma(0.25) ** 2
+WKB_C0 = -0.1823700
+
+
+def wkb_root(s):
+    return (math.pi * s / WKB_C) ** 2 / 2.0 + WKB_C0
+
+
+def pair_index(point):
+    """m + 1/2 for a_m and for its partner b_m+1."""
+    return point.order - (point.symmetry.letter == "b") + 0.5
+
+
+class TestRecurrenceFreeLaws:
+    def test_table_rows_follow_the_wkb_root(self):
+        # Every row from m = 3 on lies within 0.028/s^2 of the law (0.012/s^2
+        # measured); the a-rows' offsets from Q(s) vary by less than 0.05/s^2
+        # from one order to the next (0.0094/s^2 measured).
+        offsets = {}
+        for point in critical_table(200):
+            s = pair_index(point)
+            if s >= 3.5:
+                assert abs(point.q_c - wkb_root(s)) <= 0.028 / s**2, point.label
+            if point.symmetry.letter == "a":
+                offsets[s] = point.q_c - wkb_root(s)
+        for s in np.arange(3.5, 199.0):
+            assert abs(offsets[s + 1] - offsets[s]) < 0.05 / (s + 1) ** 2, s
+
+    @pytest.mark.parametrize("letter", "ab")
+    def test_window_pins_the_rank_up_to_the_crossing_cap(self, letter):
+        # Same-family neighbours lie ~13.7(s + 1) apart, so a window of 1 around
+        # the law pins the rank; C0's 7 digits rule out an s^-2 band at large s.
+        for m in (1, 2, 3, 7, 20, 60, 150, 400, 777, 1000, 1299, 1517, 1518):
+            point = find_critical(family_for_label(letter, m), m)
+            assert abs(point.q_c - wkb_root(pair_index(point))) < 1.0, point.label
+
+    def test_pair_spacing_follows_tunnelling(self):
+        # (q_c(b_m+1) - q_c(a_m)) / q_c(a_m) = 4/(pi s) exp(-pi s) (1 + 0.18/s),
+        # within 0.3/s relative (3.0% at m = 1, the worst).
+        table = critical_table(9)
+        for a, b in zip(table[2::2], table[3::2]):
+            s = pair_index(a)
+            spacing = (b.q_c - a.q_c) / a.q_c
+            law = 4.0 / (math.pi * s) * math.exp(-math.pi * s) * (1.0 + 0.18 / s)
+            assert abs(spacing / law - 1.0) < 0.3 / s, a.label
 
 
 class TestPairingGap:
