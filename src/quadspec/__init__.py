@@ -43,7 +43,6 @@ from .model import (
     radial_alpha,
     to_mathieu,
 )
-from .oracle import ShootingResult, oracle_char_value, shooting_defect
 
 __version__ = "0.1.0"
 
@@ -83,3 +82,11 @@ __all__ = [
     "shooting_defect",
     "to_mathieu",
 ]
+
+
+def __getattr__(name):
+    # The oracle loads scipy.integrate, which only `char --oracle` needs (PEP 562).
+    if name in ("ShootingResult", "oracle_char_value", "shooting_defect"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

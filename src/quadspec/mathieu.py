@@ -11,10 +11,10 @@ expanding a solution in the matching Fourier basis turns the equation
 into a three-term recurrence for the coefficients.  After rescaling the
 constant term of the even/period-pi family by sqrt(2), each recurrence
 is a symmetric tridiagonal matrix, so characteristic values are its
-eigenvalues and Fourier coefficients its eigenvectors.  The coefficient
-tails decay faster than exponentially beyond harmonic ~sqrt(q), so one
-eigensolve at a truncation well past that harmonic suffices; the one term
-its eigenvector leaves out of the infinite recurrence certifies it.
+eigenvalues and Fourier coefficients its eigenvectors.  Rank r's
+coefficients decay faster than exponentially beyond row ~r + sqrt(q), so one
+eigensolve at r + 16 + ceil(sqrt(q)) rows (2 more per digit of tol below 1e-12)
+suffices; the one term its eigenvector leaves out of the recurrence certifies it.
 
 Conventions:
 
@@ -185,7 +185,7 @@ def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
         raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if rank >= MAX_TRUNCATION // 2:  # half the truncation holds every rank
+    if rank >= MAX_TRUNCATION // 2:  # ranks checked against twice the rows up to here
         raise ValueError(f"{Mode(symmetry, m).label} is beyond the truncation cap: rank "
                          f"{rank} >= MAX_TRUNCATION // 2 = {MAX_TRUNCATION // 2}")
     return rank
@@ -208,11 +208,6 @@ def _bands(symmetry: SymmetryClass, q: float, n: int) -> tuple[np.ndarray, np.nd
     elif symmetry is SymmetryClass.ODD_2PI:
         diag[0] -= q
     return diag, off
-
-
-def _initial_truncation(m: int, q: float) -> int:
-    # Fourier tails die off beyond harmonic ~sqrt(q); keep generous margin.
-    return max(32, m + math.ceil(2.0 * math.sqrt(q)) + 16)
 
 
 def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
@@ -242,9 +237,13 @@ def _converge(symmetry, ranks, q, tol):
 
     An eigenvector v of the n-row truncation solves the infinite recurrence
     but for the one dropped term q * v[n-1], so some characteristic value
-    lies within q * |v[n-1]| of its eigenvalue; that bound is certified.
+    lies within q * |v[n-1]| of its eigenvalue; that bound is certified.  Rank
+    r's coefficients oscillate up to row ~sqrt(r^2 + q) <= r + sqrt(q) and decay
+    faster than exponentially past it, so n = hi + 16 + ceil(sqrt(q)) rows, plus
+    2 per decimal digit of tol below 1e-12, capped at MAX_TRUNCATION.
     """
-    n = 2 * min(_initial_truncation(symmetry.order_at(ranks[1]), q), MAX_TRUNCATION // 2)
+    digits = max(0, math.ceil(math.log10(DEFAULT_TOL) - math.log10(tol)))  # 1e-12/5e-324 = inf
+    n = min(ranks[1] + 16 + math.ceil(math.sqrt(q)) + 2 * digits, MAX_TRUNCATION)
     values, vecs = _eigensolve(_bands(symmetry, q, n), ranks)
     _certify(lambda i: f"characteristic value "
                        f"{Mode(symmetry, symmetry.order_at(ranks[0] + i)).label}(q={q})",

@@ -39,7 +39,7 @@ class TestChar:
         (row,) = parse_csv(out)
         assert row["label"] == "a0"
         assert float(row["value"]) == 0.0
-        assert int(row["truncation"]) >= 64
+        assert row["truncation"] == "16"  # rank 0 + 16 rows at q = 0
 
     def test_label_and_xi(self, capsys):
         code, out, _ = run_cli(capsys, "char", "--label", "b1",
@@ -63,7 +63,7 @@ class TestChar:
         code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1e6")
         assert code == 0
         (row,) = parse_csv(out)
-        assert (row["value"], row["truncation"]) == ("-1998000.25003", "4032")
+        assert (row["value"], row["truncation"]) == ("-1998000.25003", "1016")
 
     @pytest.mark.parametrize(
         "argv",
@@ -294,3 +294,17 @@ class TestExitCodes:
         assert result.returncode == 0
         rows = parse_csv(result.stdout)
         assert rows[0]["eigenvalue_label"] == "a0"
+
+    def test_import_leaves_the_oracle_unloaded(self):
+        # Only `char --oracle` needs scipy.integrate; the package resolves the
+        # oracle's names on first use, and a star import still binds them.
+        script = "\n".join([
+            "import sys, quadspec, quadspec.cli",
+            "assert 'scipy.integrate' not in sys.modules, 'loaded at import'",
+            "from quadspec import *",
+            "assert all(name in globals() for name in quadspec.__all__)",
+            "assert oracle_char_value is quadspec.oracle.oracle_char_value",
+        ])
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
