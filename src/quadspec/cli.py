@@ -56,13 +56,6 @@ def _json_text(rows) -> str:
     return "[\n" + ",\n".join(rendered) + "\n]\n"
 
 
-def _add_output_args(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write to this file instead of stdout")
-
-
 def _cmd_char(args):
     symmetry, order = parse_label(args.label)
     q = to_mathieu(args.xi) if args.xi is not None else args.q
@@ -141,43 +134,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Angular Mathieu spectrum and critical strengths of a "
                     "charged particle in a planar electric-quadrupole field.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    shared.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default csv)")
+    shared.add_argument("--out", metavar="PATH",
+                        help="write to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_char = sub.add_parser("char", help="one characteristic value a_m(q) / b_m(q)")
+    p_char = sub.add_parser("char", parents=[shared],
+                            help="one characteristic value a_m(q) / b_m(q)")
     p_char.add_argument("--label", required=True, help="eigenvalue label such as a0 or b3")
     strength = p_char.add_mutually_exclusive_group(required=True)
     strength.add_argument("--q", type=float, help="Mathieu strength q >= 0")
     strength.add_argument("--xi", type=float, help="quadrupole strength xi (q = 4 xi)")
-    p_char.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_char.add_argument("--oracle", action="store_true",
                         help="also report the shooting-oracle value and discrepancy")
-    _add_output_args(p_char)
     p_char.set_defaults(handler=_cmd_char)
 
     p_table = sub.add_parser(
-        "table", help="critical strengths xi_c where curves cross zero")
+        "table", parents=[shared], help="critical strengths xi_c where curves cross zero")
     p_table.add_argument("--max-pairs", type=int, default=5,
                         help="number of (a_m, b_m+1) pairs (default 5)")
-    p_table.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_output_args(p_table)
     p_table.set_defaults(handler=_cmd_table)
 
     p_channels = sub.add_parser(
-        "channels", help="per-channel radial classification at one strength")
+        "channels", parents=[shared],
+        help="per-channel radial classification at one strength")
     p_channels.add_argument("--xi", type=float, required=True,
                             help="quadrupole strength xi >= 0")
     p_channels.add_argument("--max-order", type=int, default=12)
-    p_channels.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_output_args(p_channels)
     p_channels.set_defaults(handler=_cmd_channels)
 
     p_gap = sub.add_parser(
-        "gap", help="pairing gap b_m+1(q) - a_m(q) at one or more q")
+        "gap", parents=[shared], help="pairing gap b_m+1(q) - a_m(q) at one or more q")
     p_gap.add_argument("--m", type=int, required=True, help="pair index m >= 0")
     p_gap.add_argument("--q", required=True,
                        help="comma-separated list of strengths, all > 0")
-    p_gap.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_output_args(p_gap)
     p_gap.set_defaults(handler=_cmd_gap)
 
     return parser

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import BracketError, IntegrationError
-from .mathieu import SymmetryClass, _validate
+from .mathieu import DEFAULT_TOL, SymmetryClass, _validate
 
 _HALF_PI = math.pi / 2.0
 #: Step of the bracketing scan in a; same-family values are O(1) apart.
@@ -117,29 +117,23 @@ def _grid_defects(symmetry, grid, q):
 
 
 def _scan_brackets(symmetry, q, rank, lo, hi):
-    """First rank+1 sign-change brackets of the coarse defect on [lo, hi],
-    each as (a_lo, a_hi, f_lo, f_hi) with the coarse defects at its ends.
+    """First rank+1 grid cells on [lo, hi] where the coarse defect changes sign,
+    each as (a_lo, a_hi, f_lo, f_hi); a zero counts as non-negative.
 
     The grid steps up from lo by repeated addition, as a point-by-point scan
-    would; lo + i * SCAN_STEP differs from it by an ulp at some points.  A
-    zero at a grid point gives the bracket one step either side of it, with
-    both defects 0.0 so that refinement starts at its centre.
+    would; lo + i * SCAN_STEP differs from it by an ulp at some points.
     """
     grid = [lo]
     while grid[-1] <= hi:
         grid.append(grid[-1] + SCAN_STEP)
     f = _grid_defects(symmetry, grid, q)
-    brackets = [(lo - SCAN_STEP, lo + SCAN_STEP, 0.0, 0.0)] if f[0] == 0.0 else []
-    for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:]):
-        if f_next == 0.0:
-            brackets.append((x_next - SCAN_STEP, x_next + SCAN_STEP, 0.0, 0.0))
-        elif f_prev != 0.0 and (f_prev < 0.0) != (f_next < 0.0):
-            brackets.append((x, x_next, f_prev, f_next))
-    return brackets[:rank + 1]
+    return [(x, x_next, f_prev, f_next)
+            for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:])
+            if (f_prev < 0.0) != (f_next < 0.0)][:rank + 1]
 
 
 def oracle_char_value(
-    symmetry: SymmetryClass, m: int, q: float, tol: float = 1e-12
+    symmetry: SymmetryClass, m: int, q: float, tol: float = DEFAULT_TOL
 ) -> float:
     """Characteristic value of order m located purely by shooting.
 
@@ -169,7 +163,7 @@ def oracle_char_value(
         )
 
     a_lo, a_hi, f_lo, f_hi = brackets[rank]
-    a = a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo) if f_lo != f_hi else 0.5 * (a_lo + a_hi)
+    a = a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo)
     # The scan's signs are coarse, so a root within its error of a grid
     # point may lie just outside; same-family values are O(1) apart, so one
     # more step on each side still holds this root and no other.

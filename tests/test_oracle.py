@@ -157,20 +157,17 @@ SCAN_REFERENCE = Path(__file__).with_name("scan_brackets.json")
 
 
 def point_by_point_scan(symmetry, q, rank, lo, hi):
-    """The scan as one coarse shooting_defect per grid point, stopping at rank+1."""
+    """The scan as one coarse shooting_defect per grid point, stopping at rank+1
+    sign changes; a zero counts as non-negative."""
     step = oracle_mod.SCAN_STEP
     rtol, atol = oracle_mod._COARSE_RTOL, oracle_mod._COARSE_ATOL
     brackets = []
     x = lo
     f_prev = shooting_defect(symmetry, x, q, rtol, atol).mismatch
-    if f_prev == 0.0:
-        brackets.append((x - step, x + step))
     while x <= hi and len(brackets) <= rank:
         x_next = x + step
         f_next = shooting_defect(symmetry, x_next, q, rtol, atol).mismatch
-        if f_next == 0.0:
-            brackets.append((x_next - step, x_next + step))
-        elif f_prev != 0.0 and (f_prev < 0.0) != (f_next < 0.0):
+        if (f_prev < 0.0) != (f_next < 0.0):
             brackets.append((x, x_next))
         x, f_prev = x_next, f_next
     return brackets
@@ -212,6 +209,18 @@ class TestBatchedScan:
         for rank, hi in windows:
             brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
             assert [b[:2] for b in brackets] == reference[:rank + 1]
+
+    @pytest.mark.parametrize("symmetry", ALL)
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_every_bracket_changes_sign(self, symmetry, q):
+        # The two end defects of a bracket are never equal, so its secant
+        # start is always defined.
+        lo, windows = scan_windows(symmetry, q)
+        rank, hi = windows[-1]
+        brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
+        assert len(brackets) == rank + 1
+        for a_lo, a_hi, f_lo, f_hi in brackets:
+            assert (f_lo < 0.0) != (f_hi < 0.0), (a_lo, a_hi, f_lo, f_hi)
 
     def test_one_coarse_integration_per_value(self, monkeypatch):
         real = oracle_mod.solve_ivp
@@ -368,10 +377,10 @@ class TestRefinement:
     def test_large_value_converges(self, monkeypatch, m):
         # Half an ulp of a = m^2 >= 16384 exceeds the default tol of 1e-12.
         # The scan would integrate ~10^5 grid points here, so its bracket is
-        # given: the root m^2 at q = 0 sits on a grid point.
+        # given: the root m^2 at q = 0 sits on a grid point, where the sign
+        # change starts, so the secant start is m^2.
         def grid_point_bracket(symmetry, q, rank, lo, hi):
-            return [(m * m - oracle_mod.SCAN_STEP, m * m + oracle_mod.SCAN_STEP, 0.0, 0.0)] * (
-                rank + 1)
+            return [(m * m, m * m + oracle_mod.SCAN_STEP, 0.0, -1.0)] * (rank + 1)
 
         monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
