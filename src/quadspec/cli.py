@@ -188,7 +188,10 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
     text = _csv_text(rows) if args.format == "csv" else _json_text(rows)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return 0

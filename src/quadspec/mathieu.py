@@ -215,8 +215,11 @@ def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
     """Ascending eigenvalues of ranks lo..hi of the tridiagonal matrix with these
     (diagonal, off-diagonal) bands, and their unit eigenvectors as columns."""
     diag, off = bands
-    values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=ranks,
-                                       tol=_EIG_ABSTOL)
+    try:
+        values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=ranks,
+                                           tol=_EIG_ABSTOL)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"the eigensolve at truncation {diag.size} failed: {exc}") from exc
     return values.tolist(), vectors
 
 

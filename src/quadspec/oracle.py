@@ -39,6 +39,8 @@ _MAX_REFINE = 100
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6
 _COARSE_ATOL = 1e-9
+# Cap on one scan's grid points: twice a0 at q = 2000 (~32,000) or a80 at q = 0.
+_MAX_SCAN_POINTS = 2**16
 
 # Terminal condition at pi/2: True means y'(pi/2) = 0, False y(pi/2) = 0.
 # Together with the parity of the start condition this picks the family.
@@ -123,6 +125,10 @@ def _scan_brackets(symmetry, q, rank, lo, hi):
     The grid steps up from lo by repeated addition, as a point-by-point scan
     would; lo + i * SCAN_STEP differs from it by an ulp at some points.
     """
+    if (hi - lo) / SCAN_STEP > _MAX_SCAN_POINTS:
+        raise ValueError(f"the oracle's scan for {symmetry.cli_name} order "
+                         f"{symmetry.order_at(rank)} at q={q} needs {(hi - lo) / SCAN_STEP:.0f} "
+                         f"grid points, above its cap of {_MAX_SCAN_POINTS}")
     grid = [lo]
     while grid[-1] <= hi:
         grid.append(grid[-1] + SCAN_STEP)

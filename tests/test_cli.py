@@ -10,6 +10,7 @@ import pytest
 
 from quadspec import BracketError
 from quadspec import cli as cli_mod
+from quadspec import oracle as oracle_mod
 from quadspec.cli import main
 
 TABLE_COLUMNS = ["eigenvalue_label", "class", "order", "q_c", "xi_c", "residual"]
@@ -165,6 +166,16 @@ class TestFormats:
         assert out == ""
         assert len(parse_csv(target.read_text())) == 2
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "t.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--max-pairs", "1", "--out", str(target)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write --out {target}: No such file or directory" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestChannels:
     def test_zero_strength(self, capsys):
@@ -285,6 +296,28 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "no zero crossing" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("char", "--label", "a0", "--q", "1e300"),
+        ("channels", "--xi", "1e300"),
+        ("gap", "--m", "0", "--q", "1e300"),
+    ])
+    def test_lapack_failure_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "eigensolve at truncation 4096 failed" in err
+        assert "usage:" not in err
+
+    def test_oracle_past_its_scan_cap_exits_2(self, capsys, monkeypatch):
+        def never(symmetry, grid, q):
+            raise AssertionError(f"a grid of {len(grid)} points was built")
+
+        monkeypatch.setattr(oracle_mod, "_grid_defects", never)
+        with pytest.raises(SystemExit) as err:
+            main(["char", "--label", "a0", "--q", "4094", "--oracle"])
+        assert err.value.code == 2
+        assert "above its cap of 65536" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -224,6 +224,14 @@ class TestCharValue:
                                                    r"truncation 16 \(cap 16\)"):
             char_value(SymmetryClass.EVEN_PI, 0, 400.0)
 
+    @pytest.mark.parametrize("q", [1e154, 1e300])
+    def test_lapack_failure_is_a_convergence_error(self, q):
+        # LAPACK's bisection fails on entries this large; its LinAlgError is a
+        # ValueError, which the CLI would report as a usage error.
+        with pytest.raises(ConvergenceError, match=r"eigensolve at truncation 4096 failed: "
+                                                   r".*LAPACK info="):
+            char_value(SymmetryClass.EVEN_PI, 0, q)
+
     @pytest.mark.parametrize("solve", [char_value, fourier_solution])
     @pytest.mark.parametrize("symmetry", ALL)
     def test_one_eigensolve_per_value(self, eigensolves, solve, symmetry):

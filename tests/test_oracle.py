@@ -150,6 +150,31 @@ class TestErrors:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
         assert "within" in str(err.value)
 
+    @pytest.mark.parametrize("symmetry,m,q,points", [
+        (SymmetryClass.EVEN_PI, 0, 4094.0, 65540),
+        (SymmetryClass.EVEN_2PI, 127, 0.0, 66584),
+    ])
+    def test_scan_past_its_cap_is_refused_before_any_grid(self, monkeypatch, symmetry, m, q,
+                                                          points):
+        # The grid has 4(m + 2)^2 + 16q + 20 points; past 2**16 of them the
+        # one batched integration would need gigabytes, or never end once
+        # lo + SCAN_STEP == lo.
+        def never(symmetry, grid, q):
+            raise AssertionError(f"a grid of {len(grid)} points was built")
+
+        monkeypatch.setattr(oracle_mod, "_grid_defects", never)
+        with pytest.raises(ValueError, match=rf"order {m} at q={q} needs {points} grid "
+                                             r"points, above its cap of 65536"):
+            oracle_char_value(symmetry, m, q)
+
+    def test_scan_at_its_cap_runs(self, monkeypatch):
+        def never_crosses(symmetry, grid, q):
+            return [1.0] * len(grid)
+
+        monkeypatch.setattr(oracle_mod, "_grid_defects", never_crosses)
+        with pytest.raises(BracketError):  # 65,532 points: scanned, no sign change
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 4093.5)
+
 
 #: Brackets of point_by_point_scan for each (family, q) of TestBatchedScan,
 #: up to the top order <= 6; regenerate with ``python tests/test_oracle.py``.
