@@ -85,8 +85,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # The oracle loads scipy.integrate, which only `char --oracle` needs (PEP 562).
-    if name in ("ShootingResult", "oracle_char_value", "shooting_defect"):
+    # The oracle loads scipy.integrate, which only `char --oracle` needs (PEP 562);
+    # every other exported name is imported above, so only its names reach here.
+    if name in __all__:
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ from pathlib import Path
 from .criticality import critical_table, log_gap, pairing_gap
 from .errors import SolverError
 from .mathieu import DEFAULT_TOL, char_value, parse_label
-from .model import Regime, classify_channels, to_mathieu
+from .model import _open_count, classify_channels, to_mathieu
 
 
 def _format_value(value) -> str:
@@ -45,12 +45,10 @@ def _json_text(rows) -> str:
     for row in rows:
         fields = []
         for c, value in row.items():
-            if isinstance(value, float):
-                text = _format_value(value) if math.isfinite(value) else "null"
-            elif isinstance(value, int):
-                text = str(value)
-            else:
+            if isinstance(value, str):
                 text = json.dumps(value)
+            else:
+                text = _format_value(value) if math.isfinite(value) else "null"
             fields.append(f"{json.dumps(c)}: {text}")
         rendered.append("  {" + ", ".join(fields) + "}")
     return "[\n" + ",\n".join(rendered) + "\n]\n"
@@ -93,7 +91,7 @@ def _cmd_table(args):
 
 def _cmd_channels(args):
     classified = classify_channels(args.xi, args.max_order, args.tol)
-    count = sum(radial.regime is Regime.UNBOUNDED_BELOW for _, radial in classified)
+    count = _open_count(classified)
     return [
         {
             "xi": args.xi,

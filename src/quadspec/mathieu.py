@@ -203,10 +203,8 @@ def _bands(symmetry: SymmetryClass, q: float, n: int) -> tuple[np.ndarray, np.nd
     off = np.full(n - 1, q, dtype=float)
     if symmetry is SymmetryClass.EVEN_PI:
         off[0] = _SQRT2 * q
-    elif symmetry is SymmetryClass.EVEN_2PI:
-        diag[0] += q
-    elif symmetry is SymmetryClass.ODD_2PI:
-        diag[0] -= q
+    elif symmetry.period == "2pi":
+        diag[0] += q if symmetry.parity == "even" else -q
     return diag, off
 
 

@@ -105,8 +105,8 @@ def count_open_channels(xi: float, max_order: int = 12, tol: float = DEFAULT_TOL
     every positive strength, so there is no minimum quadrupole strength
     for capture.
     """
-    return sum(
-        1
-        for _, radial in classify_channels(xi, max_order, tol)
-        if radial.regime is Regime.UNBOUNDED_BELOW
-    )
+    return _open_count(classify_channels(xi, max_order, tol))
+
+
+def _open_count(classified) -> int:
+    return sum(radial.regime is Regime.UNBOUNDED_BELOW for _, radial in classified)

@@ -42,14 +42,9 @@ _COARSE_ATOL = 1e-9
 # Cap on one scan's grid points: twice a0 at q = 2000 (~32,000) or a80 at q = 0.
 _MAX_SCAN_POINTS = 2**16
 
-# Terminal condition at pi/2: True means y'(pi/2) = 0, False y(pi/2) = 0.
-# Together with the parity of the start condition this picks the family.
-_TERMINAL_IS_DERIVATIVE = {
-    SymmetryClass.EVEN_PI: True,
-    SymmetryClass.EVEN_2PI: False,
-    SymmetryClass.ODD_2PI: True,
-    SymmetryClass.ODD_PI: False,
-}
+# Terminal condition at pi/2: True means y'(pi/2) = 0, as for cos(hx) with even h and
+# sin(hx) with odd h, False y(pi/2) = 0; with the start condition's parity it picks the family.
+_TERMINAL_IS_DERIVATIVE = {s: (s.parity == "even") == (s.period == "pi") for s in SymmetryClass}
 
 
 @dataclass(frozen=True)
