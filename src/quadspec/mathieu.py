@@ -54,8 +54,8 @@ RESIDUAL_TOL = 1e-8
 TAIL_TOL = 1e-10
 #: Hard cap on the truncation size.
 MAX_TRUNCATION = 4096
-# Highest order whose zero crossing settles within MAX_TRUNCATION rows, in every
-# family (measured); its rank, at most 759, is solved at <= 2680 rows (_crossings).
+# Highest zero-crossing order tested, in every family; its rank, at most 759, is
+# solved at <= 2680 rows (_crossings).  Higher orders are refused as untested.
 _MAX_CROSSING_ORDER = 1518
 
 _SQRT2 = math.sqrt(2.0)
@@ -218,6 +218,9 @@ def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
                                            tol=_EIG_ABSTOL)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"the eigensolve at truncation {diag.size} failed: {exc}") from exc
+    if not np.isfinite(vectors).all():  # seen with finite values for q ~ 1e149 to 1e154
+        raise ConvergenceError(f"the eigensolve at truncation {diag.size} returned "
+                               "non-finite eigenvectors")
     return values.tolist(), vectors
 
 
@@ -297,16 +300,15 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
     blocks, at the top rank's rows while those are within twice the lowest's, so
     a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
     plus 4 ulps of q_c, which shows only that *some* crossing lies that close, so
-    orders above 1518, whose crossings do not settle within the truncation cap,
-    are a ValueError.  Every argument check runs before any eigensolve.
+    orders above 1518, beyond the range where each was checked to be its own, are
+    a ValueError.  Every argument check runs before any eigensolve.
     """
     top = _validate(symmetry, orders[1], 0.0, tol)
     rows = [min(2 * ((7 * rank + 48) // 4), MAX_TRUNCATION) for rank in range(top + 1)]
     if orders[1] > _MAX_CROSSING_ORDER:
-        raise ValueError(f"the zero crossing of {Mode(symmetry, orders[1]).label} does not "
-                         f"settle within truncation {MAX_TRUNCATION}; orders above "
-                         f"{_MAX_CROSSING_ORDER} are out of reach (rank {top}, "
-                         f"truncation {rows[top]} rows)")
+        raise ValueError(f"the zero crossing of {Mode(symmetry, orders[1]).label} lies "
+                         f"beyond the tested range; orders above {_MAX_CROSSING_ORDER} are "
+                         f"refused (rank {top}, truncation {rows[top]} rows)")
     crossings = [(0.0, 0.0)] if orders[0] == 0 else []  # a_0(0) = 0 exactly
     lo = symmetry.rank_of(orders[0]) + len(crossings)
     while lo <= top:

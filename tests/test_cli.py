@@ -309,6 +309,17 @@ class TestExitCodes:
         assert "eigensolve at truncation 4096 failed" in err
         assert "usage:" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("char", "--label", "a0", "--q", "1e150"),
+        ("channels", "--xi", "1e150"),
+    ])
+    def test_non_finite_eigensolve_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "eigensolve at truncation 4096 returned non-finite eigenvectors" in err
+        assert "usage:" not in err
+
     def test_oracle_past_its_scan_cap_exits_2(self, capsys, monkeypatch):
         def never(symmetry, grid, q):
             raise AssertionError(f"a grid of {len(grid)} points was built")

@@ -223,7 +223,7 @@ class TestFindCritical:
             find_critical(SymmetryClass.ODD_2PI, 5001)
 
     def test_rank_beyond_start_truncation_is_a_usage_error(self):
-        # b2201 (rank 1100) is above the highest order that settles; with
+        # b2201 (rank 1100) is above the highest order tested; with
         # only 2048 rows it once had no crossing and reported a negative one.
         message = r"b2201 .* \(rank 1100, truncation 3874 rows\)"
         with pytest.raises(ValueError, match=message):
@@ -232,9 +232,9 @@ class TestFindCritical:
     def test_crossing_beyond_the_truncation_cap_is_a_usage_error(self):
         # b1601's 2048- and 4096-row crossings differ by ~1e5; it used to
         # raise ConvergenceError although every check had accepted it.
-        with pytest.raises(ValueError, match="b1601 does not settle within truncation 4096"):
+        with pytest.raises(ValueError, match="b1601 lies beyond the tested range"):
             find_critical(SymmetryClass.ODD_2PI, 1601)
-        # The highest orders that settle are kept: b1201 and a1518.
+        # Orders up to the cap are kept: b1201 and a1518.
         assert find_critical(SymmetryClass.ODD_2PI, 1201).q_c == pytest.approx(
             4954259.5775, rel=1e-10)
         assert find_critical(SymmetryClass.EVEN_PI, 1518).q_c > 0.0
@@ -259,7 +259,8 @@ class TestCrossings:
     def test_raises_before_any_eigensolve(self, eigensolves):
         with pytest.raises(ValueError, match="the odd-2pi family has no order-2 member"):
             mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 2), 1e-12)
-        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
+        with pytest.raises(ValueError, match="b1519 lies beyond the tested range; "
+                                             "orders above 1518 are refused"):
             mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 1519), 1e-12)
         with pytest.raises(ValueError, match="tol must be positive"):
             mathieu_mod._crossings(SymmetryClass.ODD_2PI, (1, 3), 0.0)
@@ -364,7 +365,8 @@ class TestCriticalTable:
                 assert printed_value(point.xi_c) == printed_value(ref.xi_c), point.label
 
     def test_past_the_crossing_cap_fails_before_any_eigensolve(self, eigensolves):
-        with pytest.raises(ValueError, match="b1519 does not settle within truncation 4096"):
+        with pytest.raises(ValueError, match="b1519 lies beyond the tested range; "
+                                             "orders above 1518 are refused"):
             critical_table(1519)
         assert eigensolves == []
 

@@ -124,6 +124,11 @@ class TestSymmetryClass:
         with pytest.raises(ValueError):
             family_for_label("b", 0)
 
+    def test_family_for_label_rejects_other_letters(self):
+        # parse_label refuses "c0" itself, so only a direct call reaches this check.
+        with pytest.raises(ValueError, match="label letter must be 'a' or 'b', got 'c'"):
+            family_for_label("c", 0)
+
 
 class TestCharValue:
     @pytest.mark.parametrize("symmetry", ALL)
@@ -231,6 +236,15 @@ class TestCharValue:
         with pytest.raises(ConvergenceError, match=r"eigensolve at truncation 4096 failed: "
                                                    r".*LAPACK info="):
             char_value(SymmetryClass.EVEN_PI, 0, q)
+
+    @pytest.mark.parametrize("q", [1e149, 1e150, 1e153])
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_non_finite_eigenvectors_are_a_convergence_error(self, symmetry, q):
+        # LAPACK returns finite values but nan eigenvectors here; the residual
+        # bound made from them used to read "nan".
+        with pytest.raises(ConvergenceError, match=r"^the eigensolve at truncation 4096 "
+                                                   r"returned non-finite eigenvectors$"):
+            char_value(symmetry, symmetry.first_order, q)
 
     @pytest.mark.parametrize("solve", [char_value, fourier_solution])
     @pytest.mark.parametrize("symmetry", ALL)
@@ -426,6 +440,13 @@ class TestFourierSolution:
         with pytest.raises(ValueError):
             fourier_solution(SymmetryClass.ODD_PI, 1, 1.0)
 
+    def test_tail_above_its_limit_is_a_convergence_error(self, monkeypatch):
+        # No last coefficient is below zero times the largest.
+        monkeypatch.setattr(mathieu_mod, "TAIL_TOL", 0.0)
+        with pytest.raises(ConvergenceError, match=r"a0\(q=1.0\) fall only to \S+ of the "
+                                                   r"largest within truncation 17, not to 0.0"):
+            fourier_solution(SymmetryClass.EVEN_PI, 0, 1.0)
+
 
 class TestEvalTheta:
     def test_constant_mode(self):
@@ -442,6 +463,8 @@ class TestEvalTheta:
         sol = fourier_solution(SymmetryClass.EVEN_2PI, 1, 1.0)
         assert isinstance(eval_theta(sol, 0.3), float)
         assert eval_theta(sol, np.zeros((2, 3))).shape == (2, 3)
+        assert isinstance(equation_residual(sol, 0.3), float)
+        assert equation_residual(sol, np.zeros((2, 3))).shape == (2, 3)
 
     def test_periodicity(self):
         sol = fourier_solution(SymmetryClass.EVEN_PI, 2, 4.0)

@@ -277,6 +277,16 @@ class TestBatchedScan:
         oracle_char_value(SymmetryClass.EVEN_PI, 6, 40.0)
         assert len(shapes) == 1 and shapes[0][1] == 1, shapes
 
+    def test_failed_fine_integration_names_the_point(self, monkeypatch):
+        def failing(*args, **kwargs):
+            class Failed:
+                success, message = False, "step size too small"
+            return Failed()
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failing)
+        with pytest.raises(IntegrationError, match=r"a=1.5, q=2.0 \(odd-pi\): step size too small"):
+            shooting_defect(SymmetryClass.ODD_PI, 1.5, 2.0)
+
     def test_failed_integration_names_the_window(self, monkeypatch):
         def failing(*args, **kwargs):
             class Failed:
@@ -409,6 +419,22 @@ class TestRefinement:
 
         monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
+
+    def test_ends_when_bisection_narrows_the_bracket(self, monkeypatch):
+        # A zero slope makes every Newton step infinite, so each point bisects
+        # the bracket; the search ends when the bracket is below tol, ~40
+        # halvings from its 0.75 width, well before the integration cap.
+        root = char_value(SymmetryClass.EVEN_PI, 0, 1.0).value
+        calls = []
+
+        def flat(symmetry, a, q):
+            calls.append(a)
+            return oracle_mod.ShootingResult(a, root - a, 1, 0.0)
+
+        monkeypatch.setattr(oracle_mod, "shooting_defect", flat)
+        value = oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
+        assert abs(value - root) < 1e-12
+        assert len(calls) < oracle_mod._MAX_REFINE, len(calls)
 
     def test_reports_non_convergence(self, monkeypatch):
         # Steps of 1e-6 that never shrink stay inside the bracket and above
