@@ -441,7 +441,7 @@ class TestFourierSolution:
             fourier_solution(SymmetryClass.ODD_PI, 1, 1.0)
 
     def test_tail_above_its_limit_is_a_convergence_error(self, monkeypatch):
-        # No last coefficient is below zero times the largest.
+        # With a limit of 0, any nonzero last coefficient is above it.
         monkeypatch.setattr(mathieu_mod, "TAIL_TOL", 0.0)
         with pytest.raises(ConvergenceError, match=r"a0\(q=1.0\) fall only to \S+ of the "
                                                    r"largest within truncation 17, not to 0.0"):

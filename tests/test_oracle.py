@@ -26,6 +26,13 @@ LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_or
 SCAN_QS = [0.0, 0.74070554, 17.47, 40.0]
 
 
+def failed_integration(*args, **kwargs):
+    """Stand-in for solve_ivp that reports a failure."""
+    class Failed:
+        success, message = False, "step size too small"
+    return Failed()
+
+
 class TestTrivialPoints:
     @pytest.mark.parametrize(
         "symmetry,m,expected",
@@ -124,6 +131,11 @@ class TestDefect:
             1 for f0, f1 in zip(signs, signs[1:]) if f0 == 0.0 or (f0 < 0) != (f1 < 0)
         )
         assert crossings >= rank + 1
+
+    def test_failed_integration_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
+        with pytest.raises(IntegrationError, match=r"a=1.5, q=2.0 \(odd-pi\): step size too small"):
+            shooting_defect(SymmetryClass.ODD_PI, 1.5, 2.0)
 
 
 class TestErrors:
@@ -277,23 +289,8 @@ class TestBatchedScan:
         oracle_char_value(SymmetryClass.EVEN_PI, 6, 40.0)
         assert len(shapes) == 1 and shapes[0][1] == 1, shapes
 
-    def test_failed_fine_integration_names_the_point(self, monkeypatch):
-        def failing(*args, **kwargs):
-            class Failed:
-                success, message = False, "step size too small"
-            return Failed()
-
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failing)
-        with pytest.raises(IntegrationError, match=r"a=1.5, q=2.0 \(odd-pi\): step size too small"):
-            shooting_defect(SymmetryClass.ODD_PI, 1.5, 2.0)
-
     def test_failed_integration_names_the_window(self, monkeypatch):
-        def failing(*args, **kwargs):
-            class Failed:
-                success, message = False, "step size too small"
-            return Failed()
-
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failing)
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
         with pytest.raises(IntegrationError, match=r"a in \[-3.0, .*q=1.0"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
