@@ -277,15 +277,13 @@ def _crossing(symmetry: SymmetryClass, ranks: tuple[int, int], n: int):
                                (ranks[0] - skip // 2, ranks[1] - skip // 2))
     q_c = -1.0 / np.array(values)
     h_last, h_next = symmetry.harmonics(n + skip + 1)[-2:]
-    curve = np.empty_like(q_c)
-    for j in range(0, len(q_c), 32):  # 32 columns at a time bound the temporaries
-        u = vecs[:, j:j + 32] * scale[:, None]
-        tu = couple[:, None] * u
-        tu[1:] += off[:, None] * u[:-1]
-        tu[:-1] += off[:, None] * u[1:]
-        tu = square[:, None] * u + q_c[j:j + 32] * tu
-        norm = np.einsum("ij,ij->j", u, u) + (u[0] ** 2 / 2 if skip else 0.0)
-        curve[j:j + 32] = np.abs(np.einsum("ij,ij->j", u, tu)) / norm
+    u = vecs * scale[:, None]
+    tu = couple[:, None] * u
+    tu[1:] += off[:, None] * u[:-1]
+    tu[:-1] += off[:, None] * u[1:]
+    tu = square[:, None] * u + q_c * tu
+    norm = np.einsum("ij,ij->j", u, u) + (u[0] ** 2 / 2 if skip else 0.0)
+    curve = np.abs(np.einsum("ij,ij->j", u, tu)) / norm
     return q_c, np.abs(vecs[-1]) / (h_last * h_next) * q_c**2, curve
 
 
@@ -297,8 +295,8 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
     decay from row ~2.6r on, so it is solved at 2 * ((7r + 48) // 4) ~ 3.5r + 24
     rows, which passed every certificate for each order <= 1518 of each family,
     alone and in tables of up to 1518 pairs.  Ranks share one eigensolve in
-    blocks, at the top rank's rows while those are within twice the lowest's, so
-    a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
+    blocks of at most 32, at the top rank's rows while those are within twice the
+    lowest's, which bounds its memory; a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
     plus 4 ulps of q_c, which shows only that *some* crossing lies that close, so
     orders above 1518, beyond the range where each was checked to be its own, are
     a ValueError.  Every argument check runs before any eigensolve.
@@ -312,7 +310,7 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
     crossings = [(0.0, 0.0)] if orders[0] == 0 else []  # a_0(0) = 0 exactly
     lo = symmetry.rank_of(orders[0]) + len(crossings)
     while lo <= top:
-        hi = max(rank for rank in range(lo, top + 1) if rows[rank] <= 2 * rows[lo])
+        hi = max(rank for rank in range(lo, min(top, lo + 31) + 1) if rows[rank] <= 2 * rows[lo])
         q_c, bounds, curve = _crossing(symmetry, (lo, hi), rows[hi])
         _certify(lambda i: f"zero crossing of "
                            f"{Mode(symmetry, symmetry.order_at(lo + i)).label}",
