@@ -67,8 +67,7 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     # Each family to its top order, highest first: b_max_pairs's checks cover every
-    # row, so a table past the crossing cap fails before any work, and the heap
-    # reuses the largest eigenvector block (1518 pairs peak at 70 MB, not 71.5).
+    # row, so a table past the crossing cap fails before any work.
     tops = [("b", max_pairs), ("a", max_pairs - 1), ("b", max_pairs - 1), ("a", max_pairs - 2)]
     points = {}
     for letter, top in tops[:2 * min(max_pairs, 2)]:

@@ -160,18 +160,14 @@ class CharacteristicValue(Mode):
 
 
 @dataclass(frozen=True, eq=False)
-class FourierSolution(Mode):
+class FourierSolution(CharacteristicValue):
     """Truncated Fourier expansion of one periodic eigenfunction.
 
     ``coefficients[k]`` multiplies cos(h_k * x) for the even families and
     sin(h_k * x) for the odd ones, with wavenumbers h_k = harmonics()[k].
-    ``value`` is the characteristic value of the eigenpair.
     """
 
-    q: float
-    value: float
     coefficients: np.ndarray
-    truncation: int
 
     def harmonics(self) -> np.ndarray:
         return self.symmetry.harmonics(len(self.coefficients))
@@ -382,7 +378,7 @@ def fourier_solution(
     nonzero = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
     if coeffs[nonzero[0]] < 0:
         coeffs = -coeffs
-    return FourierSolution(symmetry, m, q, values[0], coeffs, n)
+    return FourierSolution(symmetry, m, q, values[0], n, coeffs)
 
 
 def _basis(sol: FourierSolution, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -331,17 +331,32 @@ class TestCriticalTable:
                 else:
                     assert lo.xi_c < hi.xi_c, (max_pairs, lo.label, hi.label)
 
-    @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 12)])
+    @pytest.mark.parametrize("max_pairs, crossing_solves", [(14, 4), (60, 12), (200, 20)])
     def test_one_eigensolve_per_block_of_ranks(self, eigensolves, max_pairs, crossing_solves):
-        # A block runs while its top rank's rows are within twice its lowest's:
-        # at 60 pairs, ranks 0..7, 8..23 and 24..29 of a family (1..8, 9..24 and
-        # 25..29 for even/pi, which skips a_0), each block at its top rank's
-        # 2 * ((7r + 48) // 4) rows; each row's residual comes from its
+        # A block runs while its top rank's rows are within twice its lowest's,
+        # for at most 32 ranks: at 60 pairs, ranks 0..7, 8..23 and 24..29 of a
+        # family (1..8, 9..24 and 25..29 for even/pi, which skips a_0), and at
+        # 200 pairs 0..7, 8..23, 24..55, 56..87 and 88..99, each block at its top
+        # rank's 2 * ((7r + 48) // 4) rows; each row's residual comes from its
         # crossing's eigenvector.
-        rows = {14: [44] * 4, 60: [48, 104, 124] * 3 + [52, 108, 124]}
+        rows = {14: [44] * 4, 60: [48, 104, 124] * 3 + [52, 108, 124],
+                200: [48, 104, 216, 328, 370] * 3 + [52, 108, 220, 332, 370]}
         critical_table(max_pairs)
         assert len(eigensolves) == crossing_solves
         assert eigensolves == rows[max_pairs]
+
+    def test_no_crossing_block_is_wider_than_32_ranks(self, monkeypatch):
+        # Without the cap, 200 pairs solve ranks 56..99 of a family at once.
+        real, selected = mathieu_mod.eigh_tridiagonal, []
+
+        def recording(*args, **kwargs):
+            selected.append(kwargs["select_range"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mathieu_mod, "eigh_tridiagonal", recording)
+        critical_table(200)
+        assert len(selected) == 20
+        assert max(hi - lo + 1 for lo, hi in selected) == 32
 
     def test_residuals_agree_with_char_value(self):
         table = critical_table(60)

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from quadspec import (
     DEFAULT_TOL,
+    CharacteristicValue,
     ConvergenceError,
     SymmetryClass,
     char_value,
@@ -409,6 +410,13 @@ class TestFourierSolution:
         leading = np.nonzero(np.abs(coeffs) > 1e-12 * peak)[0][0]
         assert coeffs[leading] > 0
         assert abs(coeffs[-1]) < 1e-10 * peak
+
+    @pytest.mark.parametrize("symmetry,m,q", SAMPLES + [(SymmetryClass.EVEN_2PI, 7, 40.0)])
+    def test_is_the_characteristic_value_of_its_eigenpair(self, symmetry, m, q):
+        sol, point = fourier_solution(symmetry, m, q), char_value(symmetry, m, q)
+        assert isinstance(sol, CharacteristicValue)
+        assert (sol.label, sol.q, sol.value, sol.truncation) == (
+            point.label, point.q, point.value, point.truncation)
 
     def test_tail_strictly_decreasing(self):
         # Decay holds down to the inverse-iteration noise floor of the
