@@ -291,11 +291,12 @@ def _crossings(symmetry: SymmetryClass, orders: tuple[int, int], tol: float) -> 
     decay from row ~2.6r on, so it is solved at 2 * ((7r + 48) // 4) ~ 3.5r + 24
     rows, which passed every certificate for each order <= 1518 of each family,
     alone and in tables of up to 1518 pairs.  Ranks share one eigensolve in
-    blocks of at most 32, at the top rank's rows while those are within twice the
-    lowest's, which bounds its memory; a root's last bits may depend on lo..hi.  Each root is certified to ``tol``
-    plus 4 ulps of q_c, which shows only that *some* crossing lies that close, so
-    orders above 1518, beyond the range where each was checked to be its own, are
-    a ValueError.  Every argument check runs before any eigensolve.
+    blocks of at most 32, which bounds its memory, at the top rank's rows while
+    those are within twice the lowest's, so a root's last bits may depend on
+    lo..hi.  Each root is certified to ``tol`` plus 4 ulps of q_c, which shows
+    only that *some* crossing lies that close, so orders above 1518, beyond the
+    range where each was checked to be its own, are a ValueError.  Every argument
+    check runs before any eigensolve.
     """
     top = _validate(symmetry, orders[1], 0.0, tol)
     rows = [min(2 * ((7 * rank + 48) // 4), MAX_TRUNCATION) for rank in range(top + 1)]

@@ -355,7 +355,6 @@ class TestCriticalTable:
 
         monkeypatch.setattr(mathieu_mod, "eigh_tridiagonal", recording)
         critical_table(200)
-        assert len(selected) == 20
         assert max(hi - lo + 1 for lo, hi in selected) == 32
 
     def test_residuals_agree_with_char_value(self):
