@@ -232,23 +232,27 @@ def _certify(name_of, values, bounds, tol: float, n: int) -> None:
             f"{bounds[i]:.3g} at truncation {n} (cap {MAX_TRUNCATION})")
 
 
-def _converge(symmetry, ranks, q, tol):
-    """Values, unit eigenvectors and truncation of ranks lo..hi from one eigensolve.
+def _converge(symmetry, orders, q, tol):
+    """Records of orders lo..hi of one family, and their unit eigenvectors as
+    columns, from one eigensolve that runs after every argument check.
 
     An eigenvector v of the n-row truncation solves the infinite recurrence
     but for the one dropped term q * v[n-1], so some characteristic value
     lies within q * |v[n-1]| of its eigenvalue; that bound is certified.  Rank
     r's coefficients oscillate up to row ~sqrt(r^2 + q) <= r + sqrt(q) and decay
-    faster than exponentially past it, so n = hi + 16 + ceil(sqrt(q)) rows, plus
-    2 per decimal digit of tol below 1e-12, capped at MAX_TRUNCATION.
+    faster than exponentially past it, so n = r + 16 + ceil(sqrt(q)) rows for hi's
+    rank r, plus 2 per decimal digit of tol below 1e-12, capped at MAX_TRUNCATION.
     """
+    top = _validate(symmetry, orders[1], q, tol)
+    lo = symmetry.rank_of(orders[0])
     digits = max(0, math.ceil(math.log10(DEFAULT_TOL) - math.log10(tol)))  # 1e-12/5e-324 = inf
-    n = min(ranks[1] + 16 + math.ceil(math.sqrt(q)) + 2 * digits, MAX_TRUNCATION)
-    values, vecs = _eigensolve(_bands(symmetry, q, n), ranks)
-    _certify(lambda i: f"characteristic value "
-                       f"{Mode(symmetry, symmetry.order_at(ranks[0] + i)).label}(q={q})",
+    n = min(top + 16 + math.ceil(math.sqrt(q)) + 2 * digits, MAX_TRUNCATION)
+    values, vecs = _eigensolve(_bands(symmetry, q, n), (lo, top))
+    records = [CharacteristicValue(symmetry, symmetry.order_at(lo + i), q, value, n)
+               for i, value in enumerate(values)]
+    _certify(lambda i: f"characteristic value {records[i].label}(q={q})",
              values, q * np.abs(vecs[-1]), tol, n)
-    return values, vecs, n
+    return records, vecs
 
 
 def _crossing(symmetry: SymmetryClass, ranks: tuple[int, int], n: int):
@@ -331,9 +335,7 @@ def char_value(
     non-finite q or a tol that is not positive and finite, and
     ConvergenceError if the residual bound is above that.
     """
-    rank = _validate(symmetry, m, q, tol)
-    values, _, n = _converge(symmetry, (rank, rank), q, tol)
-    return CharacteristicValue(symmetry, m, q, values[0], n)
+    return _converge(symmetry, (m, m), q, tol)[0][0]
 
 
 def char_values(
@@ -345,14 +347,10 @@ def char_values(
     rank.  Raises like :func:`char_value`.
     """
     top = (max_order - symmetry.first_order) // 2
-    _validate(symmetry, symmetry.order_at(max(top, 0)), q, tol)
-    if top < 0:
+    if top < 0:  # no order of this family is <= max_order
+        _validate(symmetry, symmetry.first_order, q, tol)
         return []
-    values, _, n = _converge(symmetry, (0, top), q, tol)
-    return [
-        CharacteristicValue(symmetry, symmetry.order_at(rank), q, value, n)
-        for rank, value in enumerate(values)
-    ]
+    return _converge(symmetry, (symmetry.first_order, symmetry.order_at(top)), q, tol)[0]
 
 
 def fourier_solution(
@@ -366,20 +364,19 @@ def fourier_solution(
     like :func:`char_value`, and ConvergenceError if the last coefficient is
     above TAIL_TOL of the largest.
     """
-    rank = _validate(symmetry, m, q, tol)
-    values, vecs, n = _converge(symmetry, (rank, rank), q, tol)
+    (cv,), vecs = _converge(symmetry, (m, m), q, tol)
     tail = abs(vecs[-1, 0]) / np.abs(vecs[:, 0]).max()
     if not tail <= TAIL_TOL:
-        raise ConvergenceError(f"Fourier coefficients of {Mode(symmetry, m).label}(q={q}) "
-                               f"fall only to {tail:.3g} of the largest within truncation "
-                               f"{n}, not to {TAIL_TOL}")
+        raise ConvergenceError(f"Fourier coefficients of {cv.label}(q={q}) fall only to "
+                               f"{tail:.3g} of the largest within truncation "
+                               f"{cv.truncation}, not to {TAIL_TOL}")
     coeffs = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if symmetry is SymmetryClass.EVEN_PI:
         coeffs[0] /= _SQRT2
     nonzero = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
     if coeffs[nonzero[0]] < 0:
         coeffs = -coeffs
-    return FourierSolution(symmetry, m, q, values[0], n, coeffs)
+    return FourierSolution(**vars(cv), coefficients=coeffs)
 
 
 def _basis(sol: FourierSolution, theta) -> tuple[np.ndarray, np.ndarray]:
