@@ -31,7 +31,7 @@ class CriticalPoint(Mode):
 
 @dataclass(frozen=True)
 class PairingGap:
-    """The difference b_m+1(q) - a_m(q); positive by interlacing."""
+    """b_m+1(q) - a_m(q); exactly positive, but as a difference of values to tol it can be <= 0."""
 
     m: int
     q: float

@@ -14,6 +14,7 @@ it never solves the radial equation itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +62,8 @@ def to_mathieu(xi: float) -> float:
             "xi must be >= 0; a negative xi is equivalent to +xi under the "
             "reflection theta -> -theta (identical spectrum, relabeled families)"
         )
+    if xi > sys.float_info.max / 4:
+        raise ValueError(f"xi must be <= {sys.float_info.max / 4!r} (4*xi overflows), got {xi!r}")
     return 4.0 * xi
 
 
@@ -101,9 +104,9 @@ def classify_channels(
 def count_open_channels(xi: float, max_order: int = 12, tol: float = DEFAULT_TOL) -> int:
     """Number of channels with an unbounded-below radial problem.
 
-    For any xi > 0 this is at least 1: the lowest curve is negative for
-    every positive strength, so there is no minimum quadrupole strength
-    for capture.
+    a0 is negative for every xi > 0, but its E counts only below
+    -CLASSIFICATION_TOL, so this is 1 at xi = 1e-5 and 0 at and below
+    xi ~ 5e-6 (E0 ~ -4 xi^2), where a0 is classed critical.
     """
     return _open_count(classify_channels(xi, max_order, tol))
 

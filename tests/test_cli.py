@@ -285,6 +285,16 @@ class TestNonFiniteInputs:
         assert message in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("argv", [("channels", "--xi", "1e308"),
+                                      ("char", "--label", "a0", "--xi", "1e308")])
+    def test_xi_whose_q_overflows_exits_2_naming_xi(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2
+        assert "xi must be <= 4.4942328371557893e+307" in stderr
+        assert "q must be finite" not in stderr
+
 
 class TestExitCodes:
     def test_solver_failure_exits_1(self, capsys, monkeypatch):

@@ -208,6 +208,16 @@ class TestCharValue:
         with pytest.raises(ValueError):
             char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("args", [(SymmetryClass.EVEN_PI, 4, -1.0),
+                                      (SymmetryClass.EVEN_PI, 4, math.inf),
+                                      (SymmetryClass.EVEN_PI, 4, 1.0, 0.0),
+                                      (SymmetryClass.EVEN_PI, 5000, 1.0)])
+    @pytest.mark.parametrize("solve", [char_value, char_values, fourier_solution])
+    def test_argument_checks_run_before_any_eigensolve(self, eigensolves, solve, args):
+        with pytest.raises(ValueError):
+            solve(*args)
+        assert eigensolves == []
+
     @pytest.mark.parametrize("solve", [char_value, char_values, fourier_solution])
     def test_order_beyond_truncation_cap_is_a_usage_error(self, solve):
         with pytest.raises(ValueError, match="a5000 is beyond the truncation cap: "
@@ -359,6 +369,18 @@ class TestCharValues:
 
     def test_empty_below_first_order(self):
         assert char_values(SymmetryClass.ODD_PI, 1, 1.0) == []
+
+    @pytest.mark.parametrize("q,tol,message", [
+        (-1.0, DEFAULT_TOL, "q must be >= 0"),
+        (math.nan, DEFAULT_TOL, "q must be finite"),
+        (1.0, 0.0, "tol must be positive and finite"),
+    ])
+    def test_empty_family_checks_arguments_without_an_eigensolve(self, eigensolves,
+                                                                 q, tol, message):
+        assert char_values(SymmetryClass.ODD_PI, 1, 1.0) == []
+        with pytest.raises(ValueError, match=message):
+            char_values(SymmetryClass.ODD_PI, 1, q, tol)
+        assert eigensolves == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the quadrupole-to-Mathieu mapping and radial classification."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ class TestToMathieu:
     def test_rejects_negative_with_reflection_hint(self):
         with pytest.raises(ValueError, match="reflection"):
             to_mathieu(-0.5)
+
+    def test_rejects_an_xi_whose_q_overflows(self):
+        # 4 * 1e308 is inf; the message names xi and sys.float_info.max / 4.
+        with pytest.raises(ValueError, match=r"xi must be <= 4\.4942328371557893e\+307 "
+                                             r"\(4\*xi overflows\), got 1e\+308"):
+            to_mathieu(1e308)
+
+    def test_largest_accepted_xi_gives_a_finite_q(self):
+        assert to_mathieu(4.4e307) == 4 * 4.4e307
+        assert to_mathieu(sys.float_info.max / 4) == sys.float_info.max
 
 
 def channel_energy(xi, label):
