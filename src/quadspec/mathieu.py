@@ -376,7 +376,7 @@ def fourier_solution(
     nonzero = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
     if coeffs[nonzero[0]] < 0:
         coeffs = -coeffs
-    return FourierSolution(**vars(cv), coefficients=coeffs)
+    return FourierSolution(symmetry, m, q, cv.value, cv.truncation, coeffs)
 
 
 def _basis(sol: FourierSolution, theta) -> tuple[np.ndarray, np.ndarray]:
