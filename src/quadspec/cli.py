@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -126,6 +127,7 @@ def _cmd_gap(args):
     return [{"m": g.m, "q": g.q, "gap": g.gap, "log_gap": log_gap(g)} for g in gaps]
 
 
+@functools.cache  # built on the first main call, then reused: parse_args only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadspec",

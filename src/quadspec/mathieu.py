@@ -102,6 +102,8 @@ class SymmetryClass(Enum):
 
     def rank_of(self, m: int) -> int:
         """Ascending rank of order m inside this family's spectrum."""
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"an order must be an int, got {m!r}")
         if not self.is_valid_order(m):
             raise ValueError(
                 f"the {self.cli_name} family has no order-{m} member; "
@@ -209,6 +211,8 @@ def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
     """Ascending eigenvalues of ranks lo..hi of the tridiagonal matrix with these
     (diagonal, off-diagonal) bands, and their unit eigenvectors as columns."""
     diag, off = bands
+    if not np.isfinite(off).all():  # sqrt(2) * q overflows for even/pi past ~1.27e308
+        raise ConvergenceError(f"the recurrence at truncation {diag.size} overflows to inf")
     try:
         values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=ranks,
                                            tol=_EIG_ABSTOL)

@@ -330,6 +330,18 @@ class TestExitCodes:
         assert "eigensolve at truncation 4096 returned non-finite eigenvectors" in err
         assert "usage:" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("char", "--label", "a0", "--q", "1.7e308"),
+        ("channels", "--xi", "4e307"),
+    ])
+    def test_overflowed_recurrence_exits_1(self, capsys, argv):
+        # Past q ~ 1.27e308 even/pi's sqrt(2) * q is inf; b1 there already exits 1.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "recurrence at truncation 4096 overflows to inf" in err
+        assert "usage:" not in err
+
     def test_oracle_past_its_scan_cap_exits_2(self, capsys, monkeypatch):
         def never(symmetry, grid, q):
             raise AssertionError(f"a grid of {len(grid)} points was built")
@@ -362,3 +374,48 @@ class TestExitCodes:
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
+
+
+def fresh_run(*argv):
+    """Stdout of the CLI in a new interpreter, where its parser is built anew."""
+    result = subprocess.run([sys.executable, "-m", "quadspec.cli", *argv],
+                            capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return result.stdout
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once and keeps no other state between calls."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli_mod.build_parser() is cli_mod.build_parser()
+
+    def test_import_builds_no_parser(self):
+        script = "import quadspec.cli as c; assert c.build_parser.cache_info().currsize == 0"
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+
+    def test_oracle_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1", "--oracle")
+        assert (code, list(parse_csv(out)[0])) == (0, ORACLE_COLUMNS)
+        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1")
+        assert (code, list(parse_csv(out)[0])) == (0, CHAR_COLUMNS)
+
+    def test_format_and_tol_do_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--max-pairs", "2", "--tol", "1e-8",
+                               "--format", "json")
+        assert code == 0 and len(json.loads(out)) == 4
+        code, out, err = run_cli(capsys, "table", "--max-pairs", "2")
+        assert (code, out, err) == (0, fresh_run("table", "--max-pairs", "2"), "")
+
+    def test_usage_error_and_out_do_not_carry_over(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--max-pairs", "0"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        path = tmp_path / "t.csv"
+        assert run_cli(capsys, "table", "--max-pairs", "3", "--out", str(path)) == (0, "", "")
+        code, out, err = run_cli(capsys, "table", "--max-pairs", "3")
+        assert (code, out, err) == (0, fresh_run("table", "--max-pairs", "3"), "")
+        assert path.read_text(encoding="utf-8") == out

@@ -1,6 +1,7 @@
 """Tests for the tridiagonal-recurrence Mathieu solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestSymmetryClass:
     def test_invalid_orders_raise(self, symmetry, bad):
         with pytest.raises(ValueError):
             symmetry.rank_of(bad)
+
+    @pytest.mark.parametrize("bad", [2.0, 3.0, np.float64(2.0), True, False, "2", None])
+    def test_non_int_orders_raise_naming_the_order(self, bad):
+        # 2.0 used to pass as order 2 and fail inside scipy with a TypeError;
+        # True was order 1 of the period-2pi families.
+        for symmetry in ALL:
+            with pytest.raises(ValueError, match=f"^an order must be an int, got {re.escape(repr(bad))}$"):
+                symmetry.rank_of(bad)
+            with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+                char_value(symmetry, bad, 1.0)
+
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_numpy_int_orders_are_ints(self, symmetry):
+        for rank in range(3):
+            assert symmetry.rank_of(np.int64(symmetry.order_at(rank))) == rank
 
     def test_parse_label(self):
         assert parse_label("a0") == (SymmetryClass.EVEN_PI, 0)
@@ -256,6 +272,14 @@ class TestCharValue:
         with pytest.raises(ConvergenceError, match=r"^the eigensolve at truncation 4096 "
                                                    r"returned non-finite eigenvectors$"):
             char_value(symmetry, symmetry.first_order, q)
+
+    @pytest.mark.parametrize("solve", [char_value, fourier_solution])
+    def test_overflowed_recurrence_is_a_convergence_error(self, solve):
+        # sqrt(2) * q, even/pi's first off-diagonal entry, is inf past ~1.27e308;
+        # scipy's "array must not contain infs or NaNs" read as a usage error.
+        with pytest.raises(ConvergenceError, match=r"^the recurrence at truncation 4096 "
+                                                   r"overflows to inf$"):
+            solve(SymmetryClass.EVEN_PI, 0, 1.7e308)
 
     @pytest.mark.parametrize("solve", [char_value, fourier_solution])
     @pytest.mark.parametrize("symmetry", ALL)
