@@ -27,6 +27,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_run(*argv):
+    """Stdout of the CLI in a new interpreter, where its parser is built anew."""
+    result = subprocess.run([sys.executable, "-m", "quadspec.cli", *argv],
+                            capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return result.stdout
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no data rows in {text!r}"
@@ -374,14 +382,6 @@ class TestExitCodes:
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-
-
-def fresh_run(*argv):
-    """Stdout of the CLI in a new interpreter, where its parser is built anew."""
-    result = subprocess.run([sys.executable, "-m", "quadspec.cli", *argv],
-                            capture_output=True, text=True, timeout=300)
-    assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    return result.stdout
 
 
 class TestOneParserPerProcess:
