@@ -114,10 +114,11 @@ class TestSymmetryClass:
     def test_non_int_orders_raise_naming_the_order(self, bad):
         # 2.0 used to pass as order 2 and fail inside scipy with a TypeError;
         # True was order 1 of the period-2pi families.
+        named = f"got {re.escape(repr(bad))}$"
         for symmetry in ALL:
-            with pytest.raises(ValueError, match=f"^an order must be an int, got {re.escape(repr(bad))}$"):
+            with pytest.raises(ValueError, match=f"^an order must be an int, {named}"):
                 symmetry.rank_of(bad)
-            with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            with pytest.raises(ValueError, match=named):
                 char_value(symmetry, bad, 1.0)
 
     @pytest.mark.parametrize("symmetry", ALL)
