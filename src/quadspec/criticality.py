@@ -67,14 +67,15 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     # Each family to its top order, highest first: b_max_pairs's checks cover every
-    # row, so a table past the crossing cap fails before any work.
+    # row, so a table past the crossing cap fails before any work.  A family is
+    # keyed by its letter and the parity of its orders.
     tops = [("b", max_pairs), ("a", max_pairs - 1), ("b", max_pairs - 1), ("a", max_pairs - 2)]
     points = {}
     for letter, top in tops[:2 * min(max_pairs, 2)]:
         symmetry = family_for_label(letter, top)
-        points[symmetry] = _critical_points(symmetry, (symmetry.first_order, top), tol)
-    return [points[family_for_label(letter, m + shift)][m // 2]  # a_m, b_m+1: rank m // 2
-            for m in range(max_pairs) for letter, shift in (("a", 0), ("b", 1))]
+        points[letter, top % 2] = _critical_points(symmetry, (symmetry.first_order, top), tol)
+    return [points[letter, order % 2][m // 2]  # a_m, b_m+1: rank m // 2
+            for m in range(max_pairs) for letter, order in (("a", m), ("b", m + 1))]
 
 
 def pairing_gap(m: int, q: float, tol: float = DEFAULT_TOL) -> PairingGap:

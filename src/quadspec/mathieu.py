@@ -67,7 +67,9 @@ _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 class SymmetryClass(Enum):
     """One of the four families of periodic Mathieu solutions.
 
-    Each value is (parity, period, first order).
+    Each value is (parity, period, first order), the first order being the
+    smallest valid order and also the lowest harmonic; the letter is 'a' for
+    the even families and 'b' for the odd ones.
     """
 
     EVEN_PI = ("even", "pi", 0)
@@ -75,27 +77,10 @@ class SymmetryClass(Enum):
     ODD_2PI = ("odd", "2pi", 1)
     ODD_PI = ("odd", "pi", 2)
 
-    @property
-    def parity(self) -> str:
-        return self.value[0]
-
-    @property
-    def period(self) -> str:
-        return self.value[1]
-
-    @property
-    def letter(self) -> str:
-        """'a' for the even families, 'b' for the odd ones."""
-        return "a" if self.parity == "even" else "b"
-
-    @property
-    def cli_name(self) -> str:
-        return f"{self.parity}-{self.period}"
-
-    @property
-    def first_order(self) -> int:
-        """Smallest valid order; also the lowest Fourier harmonic."""
-        return self.value[2]
+    def __init__(self, parity: str, period: str, first_order: int):
+        self.parity, self.period, self.first_order = parity, period, first_order
+        self.letter = "a" if parity == "even" else "b"
+        self.cli_name = f"{parity}-{period}"
 
     def is_valid_order(self, m: int) -> bool:
         return m >= self.first_order and (m - self.first_order) % 2 == 0
