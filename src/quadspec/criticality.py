@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, _crossings, char_value,
-                      family_for_label)
+from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, _crossings, _require_int,
+                      char_value, family_for_label)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def critical_table(max_pairs: int, tol: float = DEFAULT_TOL) -> list[CriticalPoi
     roots share eigensolves as in mathieu._crossings, so a row's last bits may
     depend on max_pairs, within ``tol`` plus 4 ulps of :func:`find_critical`'s.
     """
+    _require_int(max_pairs, "max_pairs")
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     # Each family to its top order, highest first: b_max_pairs's checks cover every

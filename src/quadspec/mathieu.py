@@ -64,6 +64,12 @@ _SQRT2 = math.sqrt(2.0)
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
+def _require_int(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless value is an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class SymmetryClass(Enum):
     """One of the four families of periodic Mathieu solutions.
 
@@ -87,8 +93,7 @@ class SymmetryClass(Enum):
 
     def rank_of(self, m: int) -> int:
         """Ascending rank of order m inside this family's spectrum."""
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ValueError(f"an order must be an int, got {m!r}")
+        _require_int(m, "an order")
         if not self.is_valid_order(m):
             raise ValueError(
                 f"the {self.cli_name} family has no order-{m} member; "
@@ -108,6 +113,7 @@ def family_for_label(letter: str, m: int) -> SymmetryClass:
     """Symmetry class of the conventional label a_m or b_m."""
     if letter not in ("a", "b"):
         raise ValueError(f"label letter must be 'a' or 'b', got {letter!r}")
+    _require_int(m, "m")
     for member in SymmetryClass:
         if member.letter == letter and member.is_valid_order(m):
             return member
@@ -335,6 +341,7 @@ def char_values(
     All ranks share one eigensolve and its truncation, chosen for the top
     rank.  Raises like :func:`char_value`.
     """
+    _require_int(max_order, "max_order")
     top = (max_order - symmetry.first_order) // 2
     if top < 0:  # no order of this family is <= max_order
         _validate(symmetry, symmetry.first_order, q, tol)

@@ -1,6 +1,7 @@
 """Tests for critical-strength location and the pairing gap."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -315,6 +316,14 @@ class TestCriticalTable:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             critical_table(0)
+
+    @pytest.mark.parametrize("bad", [2.0, np.float64(3.0), True, "2"])
+    def test_non_int_max_pairs_raises_naming_it(self, eigensolves, bad):
+        # 2.0 failed with "TypeError: slice indices must be integers".
+        with pytest.raises(ValueError,
+                           match=f"^max_pairs must be an int, got {re.escape(repr(bad))}$"):
+            critical_table(bad)
+        assert eigensolves == []
 
     def test_order_and_printed_xi_below_twenty_pairs(self):
         # Each table solves at its own truncations, so a row's last bits depend

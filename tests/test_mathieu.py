@@ -77,6 +77,10 @@ class TestSymmetryClass:
         assert {(c.parity, c.period) for c in ALL} == {
             ("even", "pi"), ("even", "2pi"), ("odd", "2pi"), ("odd", "pi"),
         }
+        for c in ALL:
+            assert (c.parity, c.period, c.first_order) == c.value
+            assert (c.letter == "a") == (c.parity == "even")
+            assert c.cli_name == f"{c.parity}-{c.period}"
 
     def test_letters(self):
         assert SymmetryClass.EVEN_PI.letter == "a"
@@ -146,6 +150,13 @@ class TestSymmetryClass:
         # parse_label refuses "c0" itself, so only a direct call reaches this check.
         with pytest.raises(ValueError, match="label letter must be 'a' or 'b', got 'c'"):
             family_for_label("c", 0)
+
+    @pytest.mark.parametrize("letter,bad", [("a", True), ("b", 3.0), ("a", np.float64(0.0)),
+                                            ("b", "1")])
+    def test_family_for_label_rejects_non_int_orders(self, letter, bad):
+        # True was a1 (even/2pi) and 3.0 was b3 (odd/2pi).
+        with pytest.raises(ValueError, match=f"^m must be an int, got {re.escape(repr(bad))}$"):
+            family_for_label(letter, bad)
 
 
 class TestCharValue:
@@ -412,6 +423,16 @@ class TestCharValues:
             char_values(SymmetryClass.EVEN_PI, 4, -1.0)
         with pytest.raises(ValueError):
             char_values(SymmetryClass.EVEN_PI, 4, 1.0, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [5.0, np.float64(4.0), True, "5"])
+    def test_non_int_max_order_raises_naming_it(self, eigensolves, bad):
+        # 5.0 was reported as "an order must be an int, got 4.0", a derived order,
+        # and True was max_order 1.
+        named = f"^max_order must be an int, got {re.escape(repr(bad))}$"
+        for symmetry in ALL:
+            with pytest.raises(ValueError, match=named):
+                char_values(symmetry, bad, 1.0)
+        assert eigensolves == []
 
 
 class TestFourierSolution:

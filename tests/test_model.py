@@ -1,5 +1,6 @@
 """Tests for the quadrupole-to-Mathieu mapping and radial classification."""
 
+import re
 import sys
 
 import numpy as np
@@ -127,6 +128,15 @@ class TestChannelEnumeration:
             classify_channels(-1.0, max_order=4)
         with pytest.raises(ValueError):
             classify_channels(1.0, max_order=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(12.0)])
+    def test_non_int_max_order_raises_naming_it(self, bad):
+        # count_open_channels(1.0, True) returned 2, taking True as max_order 1.
+        named = f"^max_order must be an int, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=named):
+            count_open_channels(1.0, bad)
+        with pytest.raises(ValueError, match=named):
+            classify_channels(1.0, bad)
 
 
 class TestCountOpenChannels:
