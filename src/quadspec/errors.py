@@ -10,7 +10,7 @@ class ConvergenceError(SolverError):
 
 
 class BracketError(SolverError):
-    """A sign-change scan found no root, or Newton refinement hit its integration cap."""
+    """A sign-change scan found no root, or the refinement's bracket did not hold exactly one."""
 
 
 class IntegrationError(SolverError):

@@ -20,7 +20,8 @@ from enum import Enum
 
 # char_value is unused here, but perfbench's tracer self-test checks that
 # it patches and restores the name in this module.
-from .mathieu import DEFAULT_TOL, Mode, SymmetryClass, char_value, char_values  # noqa: F401
+from .mathieu import (DEFAULT_TOL, Mode, SymmetryClass, _require_int,  # noqa: F401
+                      char_value, char_values)
 
 #: Half-width of the E band treated as exactly critical.  Looser than the
 #: solver tolerance, far tighter than any spacing between thresholds.
@@ -89,6 +90,7 @@ def classify_channels(
     xi: float, max_order: int = 12, tol: float = DEFAULT_TOL
 ) -> list[tuple[AngularChannel, RadialRegime]]:
     """Evaluate and classify every channel up to max_order, sorted by E."""
+    _require_int(max_order, "max_order")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     q = to_mathieu(xi)

@@ -11,10 +11,10 @@ endpoints.  For fixed (family, q) the terminal defect is a smooth
 function of ``a`` whose zeros, in ascending order, are the family's
 characteristic values.  The m-th one is bracketed by a coarse scan of an
 ``a``-grid, all of whose trial solutions are integrated together as one
-system, and then refined by a safeguarded Newton iteration: each
-tight-tolerance integration also carries the variational equation, so it
-returns the defect's derivative in ``a`` along with the defect.  Two
-successive ones give its curvature, which bounds a Newton step's error.
+system, and then located by a second such system: one tight-tolerance
+integration of the defect at the Chebyshev points of the bracket, whose
+interpolant's root in the bracket comes from its colleague matrix
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 18).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebpts2, chebroots
 from scipy.integrate import solve_ivp
 
 from .errors import BracketError, IntegrationError
@@ -33,9 +34,11 @@ _HALF_PI = math.pi / 2.0
 SCAN_STEP = 0.25
 #: Integrator tolerance for the refinement stage.
 FINE_RTOL = 1e-12
-# Refinement integrations before giving up: Newton needs 1-3, and a tol
-# below the defect's noise at a ~ 0 up to ~50.
-_MAX_REFINE = 100
+_FINE_ATOL = 1e-12
+#: Chebyshev points of the second kind the refinement integrates the defect at;
+#: on its bracket, three grid steps wide, the fit's last two coefficients are
+#: below 1e-12 of its largest for m <= 6, q <= 40.
+CHEB_POINTS = 16
 # The bracketing scan only needs signs, so it runs the integrator loose.
 _COARSE_RTOL = 1e-6
 _COARSE_ATOL = 1e-9
@@ -62,7 +65,7 @@ def shooting_defect(
     a: float,
     q: float,
     rtol: float = FINE_RTOL,
-    atol: float = 1e-12,
+    atol: float = _FINE_ATOL,
 ) -> ShootingResult:
     """Integrate the trial solution over [0, pi/2] and report its defect.
 
@@ -87,11 +90,12 @@ def shooting_defect(
     return ShootingResult(a, float(end[0]), sol.t.size - 1, float(end[1]))
 
 
-def _grid_defects(symmetry, grid, q):
-    """Coarse defects at every a of ``grid`` from one DOP853 integration.
+def _grid_defects(symmetry, grid, q, rtol=_COARSE_RTOL, atol=_COARSE_ATOL):
+    """Defects at every a of ``grid`` from one DOP853 integration.
 
     The state holds one trial solution per grid point, values first and
-    derivatives second; only its end state is kept, and only its signs used.
+    derivatives second; only its end state is kept.  The scan runs it at
+    the coarse tolerances and uses only the signs.
     """
     a = np.asarray(grid)
     k = a.size
@@ -103,7 +107,7 @@ def _grid_defects(symmetry, grid, q):
         return np.concatenate((y[k:], (2.0 * q * math.cos(2.0 * x) - a) * y[:k]))
 
     sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", t_eval=[_HALF_PI],
-                    rtol=_COARSE_RTOL, atol=_COARSE_ATOL)
+                    rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(
             f"integration failed for a in [{grid[0]}, {grid[-1]}], q={q} "
@@ -140,16 +144,14 @@ def oracle_char_value(
 
     Scans ``a`` upward from below the bottom of the spectrum (the
     potential is bounded by 2q, so no eigenvalue lies below -2q) with one
-    coarse integration of every grid point at once, brackets the rank-th
-    zero of the terminal defect and refines it by safeguarded Newton from
-    the secant point of the coarse defects, in a bracket one grid step
-    wider on each side.  Each tight-tolerance integration gives the
-    defect, whose sign replaces one bracket end, and its slope; a Newton
-    step that would leave the bracket is replaced by bisection.  The search
-    ends on a step or bracket below ``tol`` plus 4 ulps of a, or on a step
-    inside the bracket whose Newton error, ~|f''/(2 f')| step^2 with f'' from
-    the previous point, is ten times smaller.  Only the argument check is
-    shared with :func:`~quadspec.mathieu.char_value`.
+    coarse integration of every grid point at once and brackets the
+    rank-th zero of the terminal defect.  In that bracket, one grid step
+    wider on each side, one tight-tolerance integration gives the defect
+    at CHEB_POINTS Chebyshev points, both ends among them; the value is
+    the one real root in the bracket of their Chebyshev interpolant.
+    ``tol`` is validated but the accuracy is set by FINE_RTOL, so a
+    tighter ``tol`` still returns the fit's root.  Only the argument check
+    is shared with :func:`~quadspec.mathieu.char_value`.
     """
     rank = _validate(symmetry, m, q, tol)
 
@@ -163,36 +165,22 @@ def oracle_char_value(
             f"need {rank + 1}"
         )
 
-    a_lo, a_hi, f_lo, f_hi = brackets[rank]
-    a = a_lo - f_lo * (a_hi - a_lo) / (f_hi - f_lo)
     # The scan's signs are coarse, so a root within its error of a grid
     # point may lie just outside; same-family values are O(1) apart, so one
     # more step on each side still holds this root and no other.
-    a_lo, a_hi = a_lo - SCAN_STEP, a_hi + SCAN_STEP
+    a_lo, a_hi = brackets[rank][0] - SCAN_STEP, brackets[rank][1] + SCAN_STEP
+    mid, half = 0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo)
+    x = chebpts2(CHEB_POINTS)
+    f = _grid_defects(symmetry, mid + half * x, q, FINE_RTOL, _FINE_ATOL)
+    where = f"in a within [{a_lo}, {a_hi}] for {symmetry.cli_name} order {m} at q={q}"
     # The defect is positive below the spectrum and changes sign at each
     # simple root, so just below the rank-th root its sign is (-1)**rank.
-    positive_below = rank % 2 == 0
-    last = None
-    for _ in range(_MAX_REFINE):
-        fine = shooting_defect(symmetry, a, q)
-        a_lo, a_hi = (a, a_hi) if (fine.mismatch > 0.0) == positive_below else (a_lo, a)
-        step = -fine.mismatch / fine.slope if fine.slope else math.inf
-        # Below 4 ulps of a the floats run out before tol does.
-        resolution = tol + 4.0 * np.finfo(float).eps * abs(a)
-        if abs(step) < resolution:
-            return a + step
-        if a_hi - a_lo < resolution:
-            return a
-        inside = a_lo < a + step < a_hi
-        if inside and last is not None:
-            # The last point's linear model misses this defect by ~f''h^2/2,
-            # so this step leaves ~|miss/(h^2 slope)|*step^2; 10 is a margin.
-            h = a - last.a
-            miss = fine.mismatch - last.mismatch - last.slope * h
-            if 10.0 * abs(miss) * step * step < resolution * abs(h * h * fine.slope):
-                return a + step
-        a, last = (a + step if inside else 0.5 * (a_lo + a_hi)), fine
-    raise BracketError(
-        f"refinement in [{a_lo}, {a_hi}] did not converge within {_MAX_REFINE} "
-        f"integrations for {symmetry.cli_name} order {m} at q={q}"
-    )
+    sign = 1.0 if rank % 2 == 0 else -1.0
+    if not (sign * f[0] > 0.0 > sign * f[-1]):
+        raise BracketError(f"the fine defect does not change sign from {f[0]} to {f[-1]} "
+                           f"as order {m} needs, {where}")
+    roots = chebroots(chebfit(x, f, CHEB_POINTS - 1))
+    roots = [r.real for r in roots if r.imag == 0.0 and -1.0 <= r.real <= 1.0]
+    if len(roots) != 1:
+        raise BracketError(f"the Chebyshev fit has {len(roots)} real roots, not one, {where}")
+    return float(mid + half * roots[0])

@@ -129,9 +129,10 @@ class TestChannelEnumeration:
         with pytest.raises(ValueError):
             classify_channels(1.0, max_order=0)
 
-    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(12.0)])
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(12.0), "12"])
     def test_non_int_max_order_raises_naming_it(self, bad):
-        # count_open_channels(1.0, True) returned 2, taking True as max_order 1.
+        # count_open_channels(1.0, True) returned 2, taking True as max_order 1;
+        # a str failed comparing with 1, a TypeError naming no argument.
         named = f"^max_order must be an int, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=named):
             count_open_channels(1.0, bad)

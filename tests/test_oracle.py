@@ -1,6 +1,5 @@
 """Tests for the quarter-period shooting oracle."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -59,7 +58,8 @@ class TestTrivialPoints:
     @pytest.mark.parametrize("q", [1e-6, 1e-5, 1e-4])
     def test_small_q_series(self, q):
         # DLMF 28.6.1: a_0 = -q^2/2 + 7q^4/128 - ..., far below the scan's
-        # grid; Newton resolves it well under the absolute 1e-12 tolerance.
+        # grid; the Chebyshev fit resolves it to ~1e-15, well under the
+        # absolute 1e-12 tolerance.
         series = -q * q / 2.0 + 7.0 * q**4 / 128.0
         assert abs(oracle_char_value(SymmetryClass.EVEN_PI, 0, q) - series) < 1e-2 * abs(series)
 
@@ -250,8 +250,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("symmetry", ALL)
     @pytest.mark.parametrize("q", SCAN_QS)
     def test_every_bracket_changes_sign(self, symmetry, q):
-        # The two end defects of a bracket are never equal, so its secant
-        # start is always defined.
+        # Both end defects of a bracket are nonzero with opposite signs.
         lo, windows = scan_windows(symmetry, q)
         rank, hi = windows[-1]
         brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
@@ -296,9 +295,9 @@ class TestBatchedScan:
 
 
 class TestRefinement:
-    def test_at_most_three_fine_integrations_per_value(self, monkeypatch):
-        # Newton's step is certified from the curvature the integration
-        # before it measures, so most values stop after their second one.
+    def test_one_fine_integration_per_value(self, monkeypatch):
+        # The Chebyshev fit takes every refinement point from one batched
+        # integration, so no value makes a second tight-tolerance one.
         real = oracle_mod.solve_ivp
         rtols = []
 
@@ -307,72 +306,34 @@ class TestRefinement:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
-        counts = []
         for q in SCAN_QS:
             for symmetry, m in LOW_ORDERS:
                 rtols.clear()
                 oracle_char_value(symmetry, m, q)
-                counts.append(rtols.count(oracle_mod.FINE_RTOL))
-                assert 1 <= counts[-1] <= 3, (symmetry, m, q)
-        assert sum(count <= 2 for count in counts) >= 45, counts
+                assert rtols.count(oracle_mod.FINE_RTOL) == 1, (symmetry, m, q, rtols)
 
-    @pytest.mark.parametrize("curvature,certified", [(0.1, True), (1e6, False)])
-    def test_certified_step_on_a_quadratic_defect(self, monkeypatch, curvature, certified):
-        # f(a) = (a - r)(1 + c(a - r)) with its exact slope, from a start
-        # 1e-3 above r.  For c = 0.1 the second point's step leaves an error
-        # of ~1e-15 and is certified; for c = 1e6 Newton first halves its way
-        # down to |a - r| ~ 1/c, and must not stop after the second point.
-        symmetry, m, root = SymmetryClass.EVEN_PI, 2, 0.249
-        assert symmetry.rank_of(m) == 1  # the defect rises through this root
-        calls = []
+    @pytest.mark.parametrize("symmetry", ALL)
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_chebyshev_points_resolve_the_bracket(self, monkeypatch, symmetry, q):
+        # The interpolant's last two coefficients are below 1e-12 of its
+        # largest: CHEB_POINTS resolve the defect on the widened bracket to
+        # its integration noise, so the fit's root is the defect's.
+        real = oracle_mod.chebfit
+        fits = []
 
-        def quadratic(symmetry, a, q):
-            calls.append(a)
-            e = a - root
-            return oracle_mod.ShootingResult(a, e * (1.0 + curvature * e), 1,
-                                             1.0 + 2.0 * curvature * e)
+        def recording(*args):
+            fits.append(real(*args))
+            return fits[-1]
 
-        def start_above_root(symmetry, q, rank, lo, hi):
-            return [(0.0, 0.5, -1.0, 1.0)] * (rank + 1)  # secant point 0.25
-
-        monkeypatch.setattr(oracle_mod, "shooting_defect", quadratic)
-        monkeypatch.setattr(oracle_mod, "_scan_brackets", start_above_root)
-        value = oracle_char_value(symmetry, m, 1.0)
-        assert abs(value - root) < 1e-12
-        assert (len(calls) == 2) == certified, calls
-
-    @pytest.mark.parametrize("symmetry,m,q", [
-        (SymmetryClass.EVEN_PI, 0, 0.74070554),
-        (SymmetryClass.EVEN_2PI, 3, 17.47),
-        (SymmetryClass.ODD_2PI, 1, 2.0),
-        (SymmetryClass.ODD_PI, 6, 40.0),
-    ])
-    def test_bisects_when_newton_leaves_the_bracket(self, monkeypatch, symmetry, m, q):
-        # A first slope 1e6 times too small throws the Newton step far
-        # outside the scan's bracket; the refinement must bisect instead.
-        real_defect, real_scan = oracle_mod.shooting_defect, oracle_mod._scan_brackets
-        points, brackets = [], []
-
-        def damped_first_slope(*args, **kwargs):
-            result = real_defect(*args, **kwargs)
-            points.append(result.a)
-            if len(points) == 1:
-                result = dataclasses.replace(result, slope=result.slope * 1e-6)
-            return result
-
-        def recording_scan(*args):
-            brackets.extend(real_scan(*args))
-            return brackets
-
-        monkeypatch.setattr(oracle_mod, "shooting_defect", damped_first_slope)
-        monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
-        value = oracle_char_value(symmetry, m, q)
-        # The second point halves the bracket left after the first one; the
-        # refinement bracket is the scan's, one grid step wider each side.
-        a_lo, a_hi = brackets[symmetry.rank_of(m)][:2]
-        ends = (a_lo - oracle_mod.SCAN_STEP, a_hi + oracle_mod.SCAN_STEP)
-        assert points[1] in [0.5 * (points[0] + end) for end in ends]
-        assert abs(value - char_value(symmetry, m, q).value) < 1e-9
+        monkeypatch.setattr(oracle_mod, "chebfit", recording)
+        for family, m in LOW_ORDERS:
+            if family is symmetry:
+                fits.clear()
+                oracle_char_value(symmetry, m, q)
+                coefficients = np.abs(fits[0])
+                assert len(fits) == 1
+                assert coefficients.size == oracle_mod.CHEB_POINTS
+                assert coefficients[-2:].max() < 1e-12 * coefficients.max(), (m, coefficients)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_root_beyond_a_coarse_bracket_end(self, monkeypatch, shift):
@@ -384,8 +345,11 @@ class TestRefinement:
         real_grid, real_scan = oracle_mod._grid_defects, oracle_mod._scan_brackets
         brackets = []
 
-        def shifted(symmetry, grid, q):
-            f = real_grid(symmetry, grid, q)
+        def shifted(symmetry, grid, q, rtol=oracle_mod._COARSE_RTOL,
+                    atol=oracle_mod._COARSE_ATOL):
+            f = real_grid(symmetry, grid, q, rtol, atol)
+            if rtol != oracle_mod._COARSE_RTOL:  # the fine stage is left as it is
+                return f
             i = [j for j in range(len(f) - 1) if (f[j] < 0.0) != (f[j + 1] < 0.0)][rank]
             if shift < 0:
                 f[i] = f[i + 1]
@@ -410,37 +374,39 @@ class TestRefinement:
         # Half an ulp of a = m^2 >= 16384 exceeds the default tol of 1e-12.
         # The scan would integrate ~10^5 grid points here, so its bracket is
         # given: the root m^2 at q = 0 sits on a grid point, where the sign
-        # change starts, so the secant start is m^2.
+        # change starts.
         def grid_point_bracket(symmetry, q, rank, lo, hi):
             return [(m * m, m * m + oracle_mod.SCAN_STEP, 0.0, -1.0)] * (rank + 1)
 
         monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
 
-    def test_ends_when_bisection_narrows_the_bracket(self, monkeypatch):
-        # A zero slope makes every Newton step infinite, so each point bisects
-        # the bracket; the search ends when the bracket is below tol, ~40
-        # halvings from its 0.75 width, well before the integration cap.
-        root = char_value(SymmetryClass.EVEN_PI, 0, 1.0).value
-        calls = []
+    def test_bracket_without_a_sign_change_names_the_window(self, monkeypatch):
+        # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
+        # the widened bracket [4.75, 5.5]; the fit would have no root there.
+        def far_from_any_root(symmetry, q, rank, lo, hi):
+            return [(5.0, 5.25, 1.0, -1.0)] * (rank + 1)
 
-        def flat(symmetry, a, q):
-            calls.append(a)
-            return oracle_mod.ShootingResult(a, root - a, 1, 0.0)
+        monkeypatch.setattr(oracle_mod, "_scan_brackets", far_from_any_root)
+        with pytest.raises(BracketError, match=r"does not change sign .* within \[4\.75, 5\.5\] "
+                                               r"for even-pi order 0 at q=1\.0"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
-        monkeypatch.setattr(oracle_mod, "shooting_defect", flat)
-        value = oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
-        assert abs(value - root) < 1e-12
-        assert len(calls) < oracle_mod._MAX_REFINE, len(calls)
+    def test_fit_with_three_roots_names_the_window(self, monkeypatch):
+        # A fine defect -x(x^2 - 1/4) in the bracket's coordinate x in [-1, 1]
+        # falls through it, as rank 0 needs, but with three roots, not one.
+        real_grid = oracle_mod._grid_defects
 
-    def test_reports_non_convergence(self, monkeypatch):
-        # Steps of 1e-6 that never shrink stay inside the bracket and above
-        # tol, so the refinement runs out of integrations.
-        def creeping(symmetry, a, q):
-            return oracle_mod.ShootingResult(a, 1.0, 1, -1e6)
+        def three_roots(symmetry, grid, q, rtol=oracle_mod._COARSE_RTOL,
+                        atol=oracle_mod._COARSE_ATOL):
+            if rtol == oracle_mod._COARSE_RTOL:
+                return real_grid(symmetry, grid, q, rtol, atol)
+            x = (2.0 * np.asarray(grid) - grid[0] - grid[-1]) / (grid[-1] - grid[0])
+            return (-x * (x * x - 0.25)).tolist()
 
-        monkeypatch.setattr(oracle_mod, "shooting_defect", creeping)
-        with pytest.raises(BracketError, match="did not converge within 100 integrations"):
+        monkeypatch.setattr(oracle_mod, "_grid_defects", three_roots)
+        with pytest.raises(BracketError, match=r"has 3 real roots, not one, in a within "
+                                               r"\[-0\.75, 0\.0\] for even-pi order 0 at q=1\.0"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-300])
@@ -451,7 +417,7 @@ class TestRefinement:
     ])
     def test_tol_below_the_noise_floor(self, symmetry, m, q, tol):
         # The fine defect cannot resolve a to 1e-15, let alone 1e-300; the
-        # search then ends when the floats run out.
+        # accuracy is FINE_RTOL's, and the fit's root is returned.
         value = oracle_char_value(symmetry, m, q, tol=tol)
         assert abs(value - char_value(symmetry, m, q).value) < 1e-9
 
@@ -467,8 +433,8 @@ class TestProperties:
     @given(st.floats(1e-6, 40.0))
     def test_ground_state_is_bound_at_every_strength(self, q):
         # a_0(q) < 0: one channel is open however weak the quadrupole.  The
-        # Newton refinement resolves a_0 ~ -q^2/2 = -5e-13 at q = 1e-6, well
-        # below its 1e-12 tolerance; the sign is right from q ~ 1e-7.
+        # Chebyshev fit resolves a_0 ~ -q^2/2 = -5e-13 at q = 1e-6 to ~1e-15,
+        # well below the 1e-12 tolerance; the sign is right from q ~ 1e-7.
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) < 0.0
 
 
