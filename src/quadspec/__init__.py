@@ -60,7 +60,6 @@ __all__ = [
     "RESIDUAL_TOL",
     "RadialRegime",
     "Regime",
-    "ShootingResult",
     "SolverError",
     "SymmetryClass",
     "char_value",
@@ -79,7 +78,6 @@ __all__ = [
     "pairing_gap",
     "parse_label",
     "radial_alpha",
-    "shooting_defect",
     "to_mathieu",
 ]
 

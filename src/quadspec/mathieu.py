@@ -124,7 +124,7 @@ def family_for_label(letter: str, m: int) -> SymmetryClass:
 def parse_label(text: str) -> tuple[SymmetryClass, int]:
     """Parse a shorthand label like 'a0', 'b3' or 'a_2'."""
     stripped = text.strip().lower().replace("_", "")
-    if len(stripped) < 2 or stripped[0] not in "ab" or not stripped[1:].isdigit():
+    if len(stripped) < 2 or stripped[0] not in "ab" or not stripped[1:].isdecimal():
         raise ValueError(f"cannot parse eigenvalue label {text!r} (expected e.g. a0, b3)")
     m = int(stripped[1:])
     return family_for_label(stripped[0], m), m

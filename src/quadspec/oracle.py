@@ -9,18 +9,17 @@ is integrated over the quarter period [0, pi/2] and each of the four
 periodic families is selected by the parity of y and y' at the two
 endpoints.  For fixed (family, q) the terminal defect is a smooth
 function of ``a`` whose zeros, in ascending order, are the family's
-characteristic values.  The m-th one is bracketed by a coarse scan of an
-``a``-grid, all of whose trial solutions are integrated together as one
-system, and then located by a second such system: one tight-tolerance
-integration of the defect at the Chebyshev points of the bracket, whose
-interpolant's root in the bracket comes from its colleague matrix
-(Trefethen, *Approximation Theory and Approximation Practice*, ch. 18).
+characteristic values.  One integrator, :func:`_grid_defects`, takes a
+whole ``a``-grid as one system of trial solutions: the m-th value is
+bracketed by a coarse scan of a grid, then located by one tight-tolerance
+integration at the Chebyshev points of the bracket, whose interpolant's
+root in the bracket comes from its colleague matrix (Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 18).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts2, chebroots
@@ -48,46 +47,6 @@ _MAX_SCAN_POINTS = 2**16
 # Terminal condition at pi/2: True means y'(pi/2) = 0, as for cos(hx) with even h and
 # sin(hx) with odd h, False y(pi/2) = 0; with the start condition's parity it picks the family.
 _TERMINAL_IS_DERIVATIVE = {s: (s.parity == "even") == (s.period == "pi") for s in SymmetryClass}
-
-
-@dataclass(frozen=True)
-class ShootingResult:
-    """Terminal boundary-condition defect of one trial integration and its slope in a."""
-
-    a: float
-    mismatch: float
-    step_count: int
-    slope: float
-
-
-def shooting_defect(
-    symmetry: SymmetryClass,
-    a: float,
-    q: float,
-    rtol: float = FINE_RTOL,
-    atol: float = _FINE_ATOL,
-) -> ShootingResult:
-    """Integrate the trial solution over [0, pi/2] and report its defect.
-
-    Starts from y(0)=1, y'(0)=0 for the even families and y(0)=0,
-    y'(0)=1 for the odd ones; the mismatch is y'(pi/2) or y(pi/2)
-    according to the family and vanishes exactly at its characteristic
-    values.  Its slope in a integrates alongside, from the variational
-    equation u'' = (2q cos 2x - a) u - y for u = dy/da, u(0) = u'(0) = 0.
-    """
-    y0 = (1.0, 0.0, 0.0, 0.0) if symmetry.parity == "even" else (0.0, 1.0, 0.0, 0.0)
-
-    def rhs(x, y):
-        potential = 2.0 * q * math.cos(2.0 * x) - a
-        return (y[1], potential * y[0], y[3], potential * y[2] - y[0])
-
-    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(
-            f"integration failed for a={a}, q={q} ({symmetry.cli_name}): {sol.message}"
-        )
-    end = sol.y[1::2, -1] if _TERMINAL_IS_DERIVATIVE[symmetry] else sol.y[0::2, -1]
-    return ShootingResult(a, float(end[0]), sol.t.size - 1, float(end[1]))
 
 
 def _grid_defects(symmetry, grid, q, rtol=_COARSE_RTOL, atol=_COARSE_ATOL):
@@ -118,8 +77,8 @@ def _grid_defects(symmetry, grid, q, rtol=_COARSE_RTOL, atol=_COARSE_ATOL):
 
 
 def _scan_brackets(symmetry, q, rank, lo, hi):
-    """First rank+1 grid cells on [lo, hi] where the coarse defect changes sign,
-    each as (a_lo, a_hi, f_lo, f_hi); a zero counts as non-negative.
+    """First rank+1 grid cells (a_lo, a_hi) on [lo, hi] where the coarse defect
+    changes sign; a zero counts as non-negative.
 
     The grid steps up from lo by repeated addition, as a point-by-point scan
     would; lo + i * SCAN_STEP differs from it by an ulp at some points.
@@ -132,8 +91,7 @@ def _scan_brackets(symmetry, q, rank, lo, hi):
     while grid[-1] <= hi:
         grid.append(grid[-1] + SCAN_STEP)
     f = _grid_defects(symmetry, grid, q)
-    return [(x, x_next, f_prev, f_next)
-            for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:])
+    return [(x, x_next) for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:])
             if (f_prev < 0.0) != (f_next < 0.0)][:rank + 1]
 
 

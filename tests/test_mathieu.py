@@ -142,6 +142,12 @@ class TestSymmetryClass:
         with pytest.raises(ValueError):
             parse_label(bad)
 
+    def test_parse_label_rejects_superscript_digits(self):
+        # str.isdigit accepts '²' and '¹', which int() then rejects with its own message.
+        for bad in ("a²", "b¹"):
+            with pytest.raises(ValueError, match=f"cannot parse eigenvalue label '{bad}'"):
+                parse_label(bad)
+
     def test_family_for_label_rejects_b0(self):
         with pytest.raises(ValueError):
             family_for_label("b", 0)

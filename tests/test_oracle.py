@@ -1,5 +1,6 @@
 """Tests for the quarter-period shooting oracle."""
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -14,7 +15,6 @@ from quadspec import (
     SymmetryClass,
     char_value,
     oracle_char_value,
-    shooting_defect,
 )
 from quadspec import oracle as oracle_mod
 
@@ -23,6 +23,11 @@ ALL = list(SymmetryClass)
 LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_order, 7, 2)]
 #: Strengths of the scan and refinement tests, 0.74070554 near a1's zero.
 SCAN_QS = [0.0, 0.74070554, 17.47, 40.0]
+
+
+def defect(symmetry, a, q, rtol, atol):
+    """The defect at one a, from its own integration with its own step control."""
+    return oracle_mod._grid_defects(symmetry, [a], q, rtol, atol)[0]
 
 
 def failed_integration(*args, **kwargs):
@@ -74,37 +79,61 @@ class TestAgreementWithRecurrence:
                 assert abs(mine - ref) < 1e-9, (symmetry, m, q)
 
 
+def free_defect(symmetry, a):
+    """The defect at q = 0, where the trial solution is cos(hx) or sin(hx)/h with h^2 = a."""
+    h = cmath.sqrt(a)
+    return {
+        SymmetryClass.EVEN_PI: -h * cmath.sin(h * math.pi / 2.0),
+        SymmetryClass.EVEN_2PI: cmath.cos(h * math.pi / 2.0),
+        SymmetryClass.ODD_2PI: cmath.cos(h * math.pi / 2.0),
+        SymmetryClass.ODD_PI: cmath.sin(h * math.pi / 2.0) / h,
+    }[symmetry].real
+
+
 class TestDefect:
-    def test_result_fields(self):
-        result = shooting_defect(SymmetryClass.EVEN_PI, a=0.5, q=1.0)
-        assert result.a == 0.5
-        assert result.step_count > 0
-        assert isinstance(result.mismatch, float)
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_matches_the_free_solution_at_q0(self, symmetry):
+        # At q = 0 the equation is y'' + a y = 0; a < 0 gives the cosh/sinh
+        # solutions through the imaginary h.
+        grid = [-3.0, -0.5, 0.3, 2.7, 11.1, 30.2]
+        f = oracle_mod._grid_defects(symmetry, grid, 0.0, oracle_mod.FINE_RTOL,
+                                     oracle_mod._FINE_ATOL)
+        for a, f_a in zip(grid, f):
+            assert f_a == pytest.approx(free_defect(symmetry, a), rel=1e-9, abs=1e-10), a
+
+    def test_batch_matches_one_point_at_a_time(self):
+        # One integration of the whole grid gives each a's own defect: the
+        # shared step control only tightens what each trial solution gets.
+        grid = [-3.0, 0.3, 2.7, 11.1]
+        for symmetry in ALL:
+            batch = oracle_mod._grid_defects(symmetry, grid, 17.47, oracle_mod.FINE_RTOL,
+                                             oracle_mod._FINE_ATOL)
+            assert len(batch) == len(grid)
+            for a, f_a in zip(grid, batch):
+                alone = defect(symmetry, a, 17.47, oracle_mod.FINE_RTOL, oracle_mod._FINE_ATOL)
+                assert f_a == pytest.approx(alone, rel=1e-8, abs=1e-10), (symmetry, a)
+
+    def test_failed_integration_names_the_grid_and_family(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
+        with pytest.raises(IntegrationError, match=r"a in \[1\.5, 1\.75\], q=2\.0 \(odd-pi\): "
+                                                   r"step size too small"):
+            oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
 
     @pytest.mark.parametrize("q", SCAN_QS)
     def test_positive_below_the_spectrum(self, q):
         # The refinement's sign rule rests on this: below a_0 or b_1 the
         # trial solution does not oscillate and the defect is positive.
         for symmetry in ALL:
-            assert shooting_defect(symmetry, -2.0 * q - 1.0, q).mismatch > 0.0, symmetry
-
-    @pytest.mark.parametrize("symmetry", ALL)
-    def test_slope_is_the_derivative_in_a(self, symmetry):
-        h = 1e-4
-        for q in (0.5, 17.47):
-            for a in (-3.0, 0.3, 2.7, 11.1):
-                slope = shooting_defect(symmetry, a, q).slope
-                central = (shooting_defect(symmetry, a + h, q).mismatch
-                           - shooting_defect(symmetry, a - h, q).mismatch) / (2.0 * h)
-                assert slope == pytest.approx(central, rel=1e-6), (q, a)
+            f = defect(symmetry, -2.0 * q - 1.0, q, oracle_mod.FINE_RTOL, oracle_mod._FINE_ATOL)
+            assert f > 0.0, symmetry
 
     def test_continuity_in_a(self):
         # The defect is smooth in a; a 1e-6 nudge moves it by O(1e-6).
         q = 2.0
         for symmetry in ALL:
             for a in np.linspace(-2.0, 12.0, 15):
-                f0 = shooting_defect(symmetry, a, q, rtol=1e-10, atol=1e-12).mismatch
-                f1 = shooting_defect(symmetry, a + 1e-6, q, rtol=1e-10, atol=1e-12).mismatch
+                f0 = defect(symmetry, a, q, rtol=1e-10, atol=1e-12)
+                f1 = defect(symmetry, a + 1e-6, q, rtol=1e-10, atol=1e-12)
                 assert abs(f1 - f0) < 1e-3 * (1.0 + abs(f0))
 
     @pytest.mark.parametrize(
@@ -123,19 +152,11 @@ class TestDefect:
         rank = symmetry.rank_of(m)
         lo, hi = -2.0 * q, (m + 2) ** 2 + 2.0 * q
         grid = np.arange(lo, hi + 0.25, 0.25)
-        signs = [
-            shooting_defect(symmetry, a, q, rtol=1e-6, atol=1e-9).mismatch
-            for a in grid
-        ]
+        signs = [defect(symmetry, a, q, rtol=1e-6, atol=1e-9) for a in grid]
         crossings = sum(
             1 for f0, f1 in zip(signs, signs[1:]) if f0 == 0.0 or (f0 < 0) != (f1 < 0)
         )
         assert crossings >= rank + 1
-
-    def test_failed_integration_names_the_point(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
-        with pytest.raises(IntegrationError, match=r"a=1.5, q=2.0 \(odd-pi\): step size too small"):
-            shooting_defect(SymmetryClass.ODD_PI, 1.5, 2.0)
 
 
 class TestErrors:
@@ -194,16 +215,16 @@ SCAN_REFERENCE = Path(__file__).with_name("scan_brackets.json")
 
 
 def point_by_point_scan(symmetry, q, rank, lo, hi):
-    """The scan as one coarse shooting_defect per grid point, stopping at rank+1
+    """The scan as one coarse integration per grid point, stopping at rank+1
     sign changes; a zero counts as non-negative."""
     step = oracle_mod.SCAN_STEP
     rtol, atol = oracle_mod._COARSE_RTOL, oracle_mod._COARSE_ATOL
     brackets = []
     x = lo
-    f_prev = shooting_defect(symmetry, x, q, rtol, atol).mismatch
+    f_prev = defect(symmetry, x, q, rtol, atol)
     while x <= hi and len(brackets) <= rank:
         x_next = x + step
-        f_next = shooting_defect(symmetry, x_next, q, rtol, atol).mismatch
+        f_next = defect(symmetry, x_next, q, rtol, atol)
         if (f_prev < 0.0) != (f_next < 0.0):
             brackets.append((x, x_next))
         x, f_prev = x_next, f_next
@@ -245,17 +266,18 @@ class TestBatchedScan:
         assert len(reference) == windows[-1][0] + 1
         for rank, hi in windows:
             brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
-            assert [b[:2] for b in brackets] == reference[:rank + 1]
+            assert brackets == reference[:rank + 1]
 
     @pytest.mark.parametrize("symmetry", ALL)
     @pytest.mark.parametrize("q", SCAN_QS)
     def test_every_bracket_changes_sign(self, symmetry, q):
-        # Both end defects of a bracket are nonzero with opposite signs.
+        # The coarse defects at a bracket's two ends have opposite signs.
         lo, windows = scan_windows(symmetry, q)
         rank, hi = windows[-1]
         brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
         assert len(brackets) == rank + 1
-        for a_lo, a_hi, f_lo, f_hi in brackets:
+        for a_lo, a_hi in brackets:
+            f_lo, f_hi = oracle_mod._grid_defects(symmetry, [a_lo, a_hi], q)
             assert (f_lo < 0.0) != (f_hi < 0.0), (a_lo, a_hi, f_lo, f_hi)
 
     def test_one_coarse_integration_per_value(self, monkeypatch):
@@ -365,7 +387,7 @@ class TestRefinement:
         monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
         value = oracle_char_value(symmetry, m, q)
         expected = char_value(symmetry, m, q).value
-        a_lo, a_hi = brackets[rank][:2]
+        a_lo, a_hi = brackets[rank]
         assert not a_lo < expected < a_hi
         assert abs(value - expected) < 1e-9
 
@@ -376,7 +398,7 @@ class TestRefinement:
         # given: the root m^2 at q = 0 sits on a grid point, where the sign
         # change starts.
         def grid_point_bracket(symmetry, q, rank, lo, hi):
-            return [(m * m, m * m + oracle_mod.SCAN_STEP, 0.0, -1.0)] * (rank + 1)
+            return [(m * m, m * m + oracle_mod.SCAN_STEP)] * (rank + 1)
 
         monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
@@ -385,7 +407,7 @@ class TestRefinement:
         # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
         # the widened bracket [4.75, 5.5]; the fit would have no root there.
         def far_from_any_root(symmetry, q, rank, lo, hi):
-            return [(5.0, 5.25, 1.0, -1.0)] * (rank + 1)
+            return [(5.0, 5.25)] * (rank + 1)
 
         monkeypatch.setattr(oracle_mod, "_scan_brackets", far_from_any_root)
         with pytest.raises(BracketError, match=r"does not change sign .* within \[4\.75, 5\.5\] "
