@@ -30,7 +30,6 @@ from .mathieu import (
     eval_theta,
     family_for_label,
     fourier_solution,
-    negative_q_partner,
     parse_label,
 )
 from .model import (
@@ -73,7 +72,6 @@ __all__ = [
     "find_critical",
     "fourier_solution",
     "log_gap",
-    "negative_q_partner",
     "oracle_char_value",
     "pairing_gap",
     "parse_label",

@@ -25,7 +25,7 @@ from .model import _open_count, classify_channels, to_mathieu
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return f"{value + 0.0:.12g}"  # -0.0 + 0.0 is 0.0: a negative zero prints as 0
     return str(value)
 
 

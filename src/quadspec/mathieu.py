@@ -18,8 +18,8 @@ suffices; the one term its eigenvector leaves out of the recurrence certifies it
 
 Conventions:
 
-* ``q >= 0`` everywhere.  For q < 0 use :func:`negative_q_partner`,
-  which encodes the classical reflection identities.
+* ``q >= 0`` everywhere.  For q < 0 use the family's
+  :attr:`SymmetryClass.negative_q_partner` at |q| (the reflection identities).
 * The order ``m`` is the conventional subscript of a_m / b_m.  Its
   parity fixes the family: a_m has period pi for even m and 2*pi for
   odd m; b_m has period 2*pi for odd m and pi for even m, and b_0 does
@@ -108,6 +108,14 @@ class SymmetryClass(Enum):
         """Fourier wavenumbers of the first n basis functions."""
         return self.first_order + 2 * np.arange(n)
 
+    @property
+    def negative_q_partner(self) -> SymmetryClass:
+        """Family whose order-m value at +q is this one's at -q (DLMF 28.2.26):
+        the period-2pi families swap, each period-pi family is its own."""
+        if self.period == "pi":
+            return self
+        return SymmetryClass.ODD_2PI if self.parity == "even" else SymmetryClass.EVEN_2PI
+
 
 def family_for_label(letter: str, m: int) -> SymmetryClass:
     """Symmetry class of the conventional label a_m or b_m."""
@@ -171,7 +179,7 @@ def _validate(symmetry: SymmetryClass, m: int, q: float, tol: float) -> int:
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     if q < 0:
-        raise ValueError("q must be >= 0; see negative_q_partner for q < 0")
+        raise ValueError("q must be >= 0; see SymmetryClass.negative_q_partner for q < 0")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
     if rank >= MAX_TRUNCATION // 2:  # ranks checked against twice the rows up to here
@@ -408,19 +416,3 @@ def equation_residual(sol: FourierSolution, theta) -> float | np.ndarray:
         return float(residual)
     return residual
 
-
-def negative_q_partner(symmetry: SymmetryClass, m: int) -> tuple[SymmetryClass, int]:
-    """Family and order whose value at +q equals this one's at -q.
-
-    The classical identities are a_2m(-q) = a_2m(q), b_2m+2(-q) =
-    b_2m+2(q) and a_2m+1(-q) = b_2m+1(q) (plus the converse), so a
-    characteristic value at negative q is obtained by evaluating the
-    returned (family, order) at |q|.  The order never changes; only the
-    two period-2pi families swap.
-    """
-    symmetry.rank_of(m)  # validate the pair before relabeling
-    swap = {
-        SymmetryClass.EVEN_2PI: SymmetryClass.ODD_2PI,
-        SymmetryClass.ODD_2PI: SymmetryClass.EVEN_2PI,
-    }
-    return swap.get(symmetry, symmetry), m

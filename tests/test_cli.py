@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -165,6 +166,25 @@ class TestFormats:
         assert cli_mod._format_value(float("nan")) == "nan"
         assert cli_mod._format_value(float("inf")) == "inf"
         assert cli_mod._format_value(float("-inf")) == "-inf"
+
+    def test_negative_zero_renders_as_zero(self):
+        assert cli_mod._format_value(-0.0) == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ("char", "--label", "a0", "--q", "-0"),
+        ("char", "--label", "b1", "--xi", "-0.0"),
+        ("channels", "--xi", "-0.0", "--max-order", "1"),
+    ])
+    def test_negative_zero_strength_prints_0(self, capsys, argv):
+        # -0.0 passes the q >= 0 check; no cell prints it as -0.
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        for row in parse_csv(out):
+            assert row["xi"] == row.get("q", "0") == "0"
+            assert "-0" not in row.values()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert '"xi": 0,' in out and not re.search(r": -0[,}]", out)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

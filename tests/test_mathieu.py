@@ -21,7 +21,6 @@ from quadspec import (
     eval_theta,
     family_for_label,
     fourier_solution,
-    negative_q_partner,
     parse_label,
 )
 from quadspec import mathieu as mathieu_mod
@@ -413,7 +412,7 @@ class TestCharValues:
         assert char_values(SymmetryClass.ODD_PI, 1, 1.0) == []
 
     @pytest.mark.parametrize("q,tol,message", [
-        (-1.0, DEFAULT_TOL, "q must be >= 0"),
+        (-1.0, DEFAULT_TOL, r"q must be >= 0; see SymmetryClass\.negative_q_partner "),
         (math.nan, DEFAULT_TOL, "q must be finite"),
         (1.0, 0.0, "tol must be positive and finite"),
     ])
@@ -574,14 +573,10 @@ class TestEvalTheta:
 
 class TestNegativeQ:
     def test_partner_mapping(self):
-        assert negative_q_partner(SymmetryClass.EVEN_PI, 2) == (SymmetryClass.EVEN_PI, 2)
-        assert negative_q_partner(SymmetryClass.ODD_PI, 4) == (SymmetryClass.ODD_PI, 4)
-        assert negative_q_partner(SymmetryClass.EVEN_2PI, 3) == (SymmetryClass.ODD_2PI, 3)
-        assert negative_q_partner(SymmetryClass.ODD_2PI, 1) == (SymmetryClass.EVEN_2PI, 1)
-
-    def test_partner_validates_order(self):
-        with pytest.raises(ValueError):
-            negative_q_partner(SymmetryClass.ODD_2PI, 0)
+        assert SymmetryClass.EVEN_PI.negative_q_partner is SymmetryClass.EVEN_PI
+        assert SymmetryClass.ODD_PI.negative_q_partner is SymmetryClass.ODD_PI
+        assert SymmetryClass.EVEN_2PI.negative_q_partner is SymmetryClass.ODD_2PI
+        assert SymmetryClass.ODD_2PI.negative_q_partner is SymmetryClass.EVEN_2PI
 
     @pytest.mark.parametrize("q", [0.7, 3.3])
     @pytest.mark.parametrize("symmetry", ALL)
@@ -589,10 +584,64 @@ class TestNegativeQ:
         # Assemble the raw recurrence matrix at -q (bypassing the public
         # q >= 0 validation) and compare its spectrum with the partner
         # family at +q.
-        partner, _ = negative_q_partner(symmetry, symmetry.first_order)
+        partner = symmetry.negative_q_partner
         n = 24
         d_neg, e_neg = _bands(symmetry, -q, n)
         d_pos, e_pos = _bands(partner, q, n)
         w_neg = np.linalg.eigvalsh(np.diag(d_neg) + np.diag(e_neg, 1) + np.diag(e_neg, -1))
         w_pos = np.linalg.eigvalsh(np.diag(d_pos) + np.diag(e_pos, 1) + np.diag(e_pos, -1))
         np.testing.assert_allclose(w_neg[:8], w_pos[:8], rtol=0, atol=1e-10)
+
+
+def asymptotic_value(label, q):
+    """DLMF 28.8.1 through the h^-5 term, h = sqrt(q), and its band: the last
+    term kept plus 1e-10*q for rounding in values of size 2q (a copy of
+    perfbench's workloads.asymptotic_value, which Tier-1 does not import)."""
+    m = int(label[1:])
+    s = 2 * m + 1 if label[0] == "a" else 2 * m - 1
+    h = math.sqrt(q)
+    terms = [
+        -2.0 * q,
+        2.0 * s * h,
+        -(s**2 + 1) / 8.0,
+        -(s**3 + 3 * s) / (2**7 * h),
+        -(5 * s**4 + 34 * s**2 + 9) / (2**12 * h**2),
+        -(33 * s**5 + 410 * s**3 + 405 * s) / (2**17 * h**3),
+        -(63 * s**6 + 1260 * s**4 + 2943 * s**2 + 486) / (2**20 * h**4),
+        -(527 * s**7 + 15617 * s**5 + 69001 * s**3 + 41607 * s) / (2**25 * h**5),
+    ]
+    return math.fsum(terms), abs(terms[-1]) + 1e-10 * q
+
+
+def spectrum_to_order_12(q):
+    """Every a_m and b_m with m <= 12 at q, keyed by label, one solve per family."""
+    return {cv.label: cv.value for symmetry in ALL for cv in char_values(symmetry, 12, q)}
+
+
+class TestWholePlane:
+    # Checks that share no numerics with the recurrence, over log-uniform q.
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-12.0, 9.0))
+    def test_interlacing(self, exponent):
+        # a0 < b1 < a1 < b2 < ... < a12 (DLMF 28.2(v)).  At large q a_m and
+        # b_m+1 merge and at small q b_m and a_m, so a swap of up to 4 ulps of
+        # the recurrence's scale, the larger of |a| and 2q, is allowed.  Near a
+        # zero crossing that is many ulps of a itself: at q = 10**2.6571 a11 is
+        # 0.359 and swaps with b12 by 177 of its ulps, 2.0 ulps of 2q (the most
+        # measured over 14003 log-spaced q).
+        q = 10.0**exponent
+        values = spectrum_to_order_12(q)
+        labels = ["a0"] + [f"{letter}{m}" for m in range(1, 13) for letter in "ba"]
+        ordered = [values[label] for label in labels]
+        for label, lo, hi in zip(labels, ordered, ordered[1:]):
+            assert lo - hi <= 4.0 * EPS * max(abs(lo), abs(hi), 2.0 * q), (label, q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(3.0, 9.0))
+    def test_large_q_expansion(self, exponent):
+        # Measured at most 0.294 of the band, a12 at q = 1e3 (61 log-spaced q).
+        q = 10.0**exponent
+        for label, value in spectrum_to_order_12(q).items():
+            reference, band = asymptotic_value(label, q)
+            assert abs(value - reference) <= band, (label, q)
