@@ -48,7 +48,7 @@ from .errors import ConvergenceError
 
 #: Default absolute tolerance on characteristic values.
 DEFAULT_TOL = 1e-12
-#: Every returned eigenfunction satisfies the Mathieu equation to this.
+#: equation_residual bound, measured, not enforced: orders <= 12 meet it to q ~ 3e4, not 1e5.
 RESIDUAL_TOL = 1e-8
 #: Relative size below which the last retained coefficient must fall.
 TAIL_TOL = 1e-10

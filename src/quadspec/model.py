@@ -108,7 +108,10 @@ def count_open_channels(xi: float, max_order: int = 12, tol: float = DEFAULT_TOL
 
     a0 is negative for every xi > 0, but its E counts only below
     -CLASSIFICATION_TOL, so this is 1 at xi = 1e-5 and 0 at and below
-    xi ~ 5e-6 (E0 ~ -4 xi^2), where a0 is classed critical.
+    xi ~ 5e-6 (E0 ~ -4 xi^2), where a0 is classed critical.  Only the
+    2 * max_order + 1 listed channels count, so at max_order 12 it reaches 25
+    at xi_c(a12) ~ 134.2354 and stays there; critical_table has 28 crossings
+    below xi = 160.
     """
     return _open_count(classify_channels(xi, max_order, tol))
 

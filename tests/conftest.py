@@ -2,6 +2,7 @@ import pytest
 
 from quadspec import critical_table
 from quadspec import mathieu as mathieu_mod
+from quadspec import oracle as oracle_mod
 
 
 @pytest.fixture(scope="session")
@@ -12,12 +13,26 @@ def table5():
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Row count of every tridiagonal eigensolve mathieu makes, in order."""
-    real, rows = mathieu_mod.eigh_tridiagonal, []
+    """(rows, ranks) of every mathieu._eigensolve(bands, ranks) call, in order."""
+    real, calls = mathieu_mod._eigensolve, []
 
-    def counting(*args, **kwargs):
-        rows.append(len(args[0]))
-        return real(*args, **kwargs)
+    def recording(bands, ranks):
+        calls.append((len(bands[0]), ranks))
+        return real(bands, ranks)
 
-    monkeypatch.setattr(mathieu_mod, "eigh_tridiagonal", counting)
-    return rows
+    monkeypatch.setattr(mathieu_mod, "_eigensolve", recording)
+    return calls
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(rtol, shape of sol.y) of every integration the oracle makes, in order."""
+    real, calls = oracle_mod.solve_ivp, []
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        calls.append((kwargs["rtol"], sol.y.shape))
+        return sol
+
+    monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+    return calls

@@ -28,12 +28,58 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh_run(*argv):
-    """Stdout of the CLI in a new interpreter, where its parser is built anew."""
-    result = subprocess.run([sys.executable, "-m", "quadspec.cli", *argv],
+def stdout_of(capsys, *argv):
+    """Stdout of main(argv), which must return 0."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return out
+
+
+def usage_error(capsys, *argv):
+    """What main(argv) captured, after it exited 2 through argparse's SystemExit."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    return capsys.readouterr()
+
+
+# `table --max-pairs N` for N = 1, 2, 3 as `python -m quadspec.cli` runs it, each
+# building its parser anew, then the imports; importing first makes runpy warn.
+FRESH_SCRIPT = """
+import contextlib, io, json, runpy, sys
+def table(pairs):
+    sys.argv, out, err = ["quadspec", "table", "--max-pairs", pairs], io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("quadspec.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            return [stop.code, out.getvalue(), err.getvalue()]
+facts = {"table": {pairs: table(pairs) for pairs in "123"}}
+import quadspec, quadspec.cli
+facts["oracle_loaded"] = "scipy.integrate" in sys.modules
+facts["parsers_built"] = quadspec.cli.build_parser.cache_info().currsize
+star = {}
+exec("from quadspec import *", star)
+facts["star_binds_all"] = all(name in star for name in quadspec.__all__)
+facts["oracle_bound"] = star["oracle_char_value"] is quadspec.oracle.oracle_char_value
+print(json.dumps(facts))
+"""
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    """The facts FRESH_SCRIPT prints from the run's one new interpreter."""
+    result = subprocess.run([sys.executable, "-c", FRESH_SCRIPT],
                             capture_output=True, text=True, timeout=300)
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    return result.stdout
+    return json.loads(result.stdout)
+
+
+def fresh_run(fresh, max_pairs):
+    """Stdout of `table --max-pairs max_pairs` in the new interpreter."""
+    code, out, err = fresh["table"][max_pairs]
+    assert (code, err) == (0, ""), err
+    return out
 
 
 def parse_csv(text):
@@ -44,35 +90,26 @@ def parse_csv(text):
 
 class TestChar:
     def test_free_rotor(self, capsys):
-        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "0")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "char", "--label", "a0", "--q", "0"))
         assert row["label"] == "a0"
         assert float(row["value"]) == 0.0
         assert row["truncation"] == "16"  # rank 0 + 16 rows at q = 0
 
     def test_label_and_xi(self, capsys):
-        code, out, _ = run_cli(capsys, "char", "--label", "b1",
-                               "--xi", "0.2270115834")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "char", "--label", "b1", "--xi", "0.2270115834"))
         assert row["class"] == "odd-2pi"
         assert abs(float(row["value"])) < 1e-8
         assert float(row["q"]) == pytest.approx(0.9080463336, rel=1e-12)
 
     def test_oracle_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "5", "--oracle")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "char", "--label", "a0", "--q", "5", "--oracle"))
         assert "oracle_value" in row and "discrepancy" in row
         assert abs(float(row["value"]) - float(row["oracle_value"])) < 1e-9
         assert abs(float(row["discrepancy"])) < 1e-9
 
     def test_large_value_is_certified(self, capsys):
         # |a| ~ 2e6, where tol 1e-12 is below one ulp; it used to exit 1.
-        code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1e6")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "char", "--label", "a0", "--q", "1e6"))
         assert (row["value"], row["truncation"]) == ("-1998000.25003", "1016")
 
     @pytest.mark.parametrize(
@@ -89,16 +126,12 @@ class TestChar:
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        assert err.value.code == 2
+        usage_error(capsys, *argv)
 
 
 class TestTable:
     def test_default_reproduces_ten_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "table")
-        assert code == 0
-        rows = parse_csv(out)
+        rows = parse_csv(stdout_of(capsys, "table"))
         assert len(rows) == 10
         assert list(rows[0].keys()) == TABLE_COLUMNS
         assert float(rows[0]["xi_c"]) == 0.0
@@ -106,31 +139,22 @@ class TestTable:
         assert [r["eigenvalue_label"] for r in rows[:4]] == ["a0", "b1", "a1", "b2"]
 
     def test_single_pair(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--max-pairs", "1")
-        assert code == 0
-        assert len(parse_csv(out)) == 2
+        assert len(parse_csv(stdout_of(capsys, "table", "--max-pairs", "1"))) == 2
 
     def test_six_pairs_extend(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--max-pairs", "6")
-        assert code == 0
-        rows = parse_csv(out)
+        rows = parse_csv(stdout_of(capsys, "table", "--max-pairs", "6"))
         assert len(rows) == 12
         assert float(rows[10]["xi_c"]) > 17.35709827
         assert float(rows[11]["xi_c"]) > 17.35709827
 
     def test_rejects_zero_pairs(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["table", "--max-pairs", "0"])
-        assert err.value.code == 2
+        usage_error(capsys, "table", "--max-pairs", "0")
 
 
 class TestFormats:
     def test_csv_json_round_trip(self, capsys):
-        code, out_csv, _ = run_cli(capsys, "table", "--max-pairs", "2")
-        assert code == 0
-        code, out_json, _ = run_cli(capsys, "table", "--max-pairs", "2",
-                                    "--format", "json")
-        assert code == 0
+        out_csv = stdout_of(capsys, "table", "--max-pairs", "2")
+        out_json = stdout_of(capsys, "table", "--max-pairs", "2", "--format", "json")
         csv_rows = parse_csv(out_csv)
         json_rows = json.loads(out_json)
         assert len(csv_rows) == len(json_rows) == 4
@@ -155,11 +179,9 @@ class TestFormats:
         ],
     )
     def test_column_order(self, capsys, argv, columns):
-        code, out_csv, _ = run_cli(capsys, *argv)
-        assert code == 0
+        out_csv = stdout_of(capsys, *argv)
         assert out_csv.splitlines()[0] == ",".join(columns)
-        code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
+        out_json = stdout_of(capsys, *argv, "--format", "json")
         assert all(list(row) == columns for row in json.loads(out_json))
 
     def test_non_finite_rendering(self):
@@ -177,13 +199,11 @@ class TestFormats:
     ])
     def test_negative_zero_strength_prints_0(self, capsys, argv):
         # -0.0 passes the q >= 0 check; no cell prints it as -0.
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        out = stdout_of(capsys, *argv)
         for row in parse_csv(out):
             assert row["xi"] == row.get("q", "0") == "0"
             assert "-0" not in row.values()
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
+        out = stdout_of(capsys, *argv, "--format", "json")
         assert '"xi": 0,' in out and not re.search(r": -0[,}]", out)
 
     def test_out_file(self, capsys, tmp_path):
@@ -196,10 +216,7 @@ class TestFormats:
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "t.csv"
-        with pytest.raises(SystemExit) as err:
-            main(["table", "--max-pairs", "1", "--out", str(target)])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
+        captured = usage_error(capsys, "table", "--max-pairs", "1", "--out", str(target))
         assert captured.out == ""
         assert f"cannot write --out {target}: No such file or directory" in captured.err
         assert "Traceback" not in captured.err
@@ -207,19 +224,13 @@ class TestFormats:
 
 class TestChannels:
     def test_zero_strength(self, capsys):
-        code, out, _ = run_cli(capsys, "channels", "--xi", "0",
-                               "--max-order", "4")
-        assert code == 0
-        rows = parse_csv(out)
+        rows = parse_csv(stdout_of(capsys, "channels", "--xi", "0", "--max-order", "4"))
         assert all(row["count"] == "0" for row in rows)
         assert all(row["regime"] != "unbounded_below" for row in rows)
 
     @pytest.mark.parametrize("xi,expected", [("1.0", 2), ("0.3", 2)])
     def test_counts_between_thresholds(self, capsys, xi, expected):
-        code, out, _ = run_cli(capsys, "channels", "--xi", xi,
-                               "--max-order", "6")
-        assert code == 0
-        rows = parse_csv(out)
+        rows = parse_csv(stdout_of(capsys, "channels", "--xi", xi, "--max-order", "6"))
         assert all(int(row["count"]) == expected for row in rows)
         open_rows = [r for r in rows if r["regime"] == "unbounded_below"]
         assert len(open_rows) == expected
@@ -228,48 +239,37 @@ class TestChannels:
 
     @pytest.mark.parametrize("xi", ["0.01", "1.9", "10.5", "250"])
     def test_count_is_number_of_open_rows(self, capsys, xi):
-        code, out, _ = run_cli(capsys, "channels", "--xi", xi)
-        assert code == 0
-        rows = parse_csv(out)
+        rows = parse_csv(stdout_of(capsys, "channels", "--xi", xi))
         open_rows = [r for r in rows if r["regime"] == "unbounded_below"]
         assert {int(row["count"]) for row in rows} == {len(open_rows)}
 
     def test_every_channel_open_at_xi_1000(self, capsys):
         # Values reach |a| ~ 8000, where tol 1e-12 is below two ulps; it used
         # to exit 1 from xi ~ 820 on.
-        code, out, _ = run_cli(capsys, "channels", "--xi", "1000", "--format", "json")
-        assert code == 0
-        rows = json.loads(out)
+        rows = json.loads(stdout_of(capsys, "channels", "--xi", "1000", "--format", "json"))
         assert len(rows) == 25
         assert all(row["count"] == 25 and row["regime"] == "unbounded_below" for row in rows)
         energies = [row["e_theta"] for row in rows]
         assert energies == sorted(energies) and energies[0] == pytest.approx(-3936.87969533)
 
     def test_rejects_negative_xi(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["channels", "--xi", "-1"])
-        assert err.value.code == 2
+        usage_error(capsys, "channels", "--xi", "-1")
 
 
 class TestGap:
     def test_near_zero_strength(self, capsys):
-        code, out, _ = run_cli(capsys, "gap", "--m", "0", "--q", "0.0001")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "gap", "--m", "0", "--q", "0.0001"))
         assert float(row["gap"]) == pytest.approx(1.0, abs=2e-4)
         assert float(row["log_gap"]) == pytest.approx(0.0, abs=2e-4)
 
     def test_list_is_strictly_decreasing(self, capsys):
-        code, out, _ = run_cli(capsys, "gap", "--m", "1", "--q", "10,20,30,40")
-        assert code == 0
+        out = stdout_of(capsys, "gap", "--m", "1", "--q", "10,20,30,40")
         gaps = [float(row["gap"]) for row in parse_csv(out)]
         assert len(gaps) == 4
         assert all(hi < lo for lo, hi in zip(gaps, gaps[1:]))
 
     def test_gap_scale_at_last_crossing(self, capsys):
-        code, out, _ = run_cli(capsys, "gap", "--m", "4", "--q", "69.42837828")
-        assert code == 0
-        (row,) = parse_csv(out)
+        (row,) = parse_csv(stdout_of(capsys, "gap", "--m", "4", "--q", "69.42837828"))
         assert 1e-6 < float(row["gap"]) < 1e-4
 
     @pytest.mark.parametrize(
@@ -282,9 +282,7 @@ class TestGap:
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        assert err.value.code == 2
+        usage_error(capsys, *argv)
 
 
 class TestNonFiniteInputs:
@@ -306,20 +304,14 @@ class TestNonFiniteInputs:
         ],
     )
     def test_exit_2_naming_the_argument(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        stderr = capsys.readouterr().err
-        assert err.value.code == 2
+        stderr = usage_error(capsys, *argv).err
         assert message in stderr
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("argv", [("channels", "--xi", "1e308"),
                                       ("char", "--label", "a0", "--xi", "1e308")])
     def test_xi_whose_q_overflows_exits_2_naming_xi(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        stderr = capsys.readouterr().err
-        assert err.value.code == 2
+        stderr = usage_error(capsys, *argv).err
         assert "xi must be <= 4.4942328371557893e+307" in stderr
         assert "q must be finite" not in stderr
 
@@ -375,33 +367,18 @@ class TestExitCodes:
             raise AssertionError(f"a grid of {len(grid)} points was built")
 
         monkeypatch.setattr(oracle_mod, "_grid_defects", never)
-        with pytest.raises(SystemExit) as err:
-            main(["char", "--label", "a0", "--q", "4094", "--oracle"])
-        assert err.value.code == 2
-        assert "above its cap of 65536" in capsys.readouterr().err
+        stderr = usage_error(capsys, "char", "--label", "a0", "--q", "4094", "--oracle").err
+        assert "above its cap of 65536" in stderr
 
-    def test_module_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "quadspec.cli", "table", "--max-pairs", "1"],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 0
-        rows = parse_csv(result.stdout)
+    def test_module_entry_point(self, fresh):
+        rows = parse_csv(fresh_run(fresh, "1"))
         assert rows[0]["eigenvalue_label"] == "a0"
 
-    def test_import_leaves_the_oracle_unloaded(self):
+    def test_import_leaves_the_oracle_unloaded(self, fresh):
         # Only `char --oracle` needs scipy.integrate; the package resolves the
         # oracle's names on first use, and a star import still binds them.
-        script = "\n".join([
-            "import sys, quadspec, quadspec.cli",
-            "assert 'scipy.integrate' not in sys.modules, 'loaded at import'",
-            "from quadspec import *",
-            "assert all(name in globals() for name in quadspec.__all__)",
-            "assert oracle_char_value is quadspec.oracle.oracle_char_value",
-        ])
-        result = subprocess.run([sys.executable, "-c", script],
-                                capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr
+        assert not fresh["oracle_loaded"], "loaded at import"
+        assert fresh["star_binds_all"] and fresh["oracle_bound"]
 
 
 class TestOneParserPerProcess:
@@ -410,11 +387,8 @@ class TestOneParserPerProcess:
     def test_the_parser_is_built_once(self):
         assert cli_mod.build_parser() is cli_mod.build_parser()
 
-    def test_import_builds_no_parser(self):
-        script = "import quadspec.cli as c; assert c.build_parser.cache_info().currsize == 0"
-        result = subprocess.run([sys.executable, "-c", script],
-                                capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr
+    def test_import_builds_no_parser(self, fresh):
+        assert fresh["parsers_built"] == 0
 
     def test_oracle_flag_does_not_carry_over(self, capsys):
         code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1", "--oracle")
@@ -422,20 +396,17 @@ class TestOneParserPerProcess:
         code, out, _ = run_cli(capsys, "char", "--label", "a0", "--q", "1")
         assert (code, list(parse_csv(out)[0])) == (0, CHAR_COLUMNS)
 
-    def test_format_and_tol_do_not_carry_over(self, capsys):
+    def test_format_and_tol_do_not_carry_over(self, capsys, fresh):
         code, out, _ = run_cli(capsys, "table", "--max-pairs", "2", "--tol", "1e-8",
                                "--format", "json")
         assert code == 0 and len(json.loads(out)) == 4
         code, out, err = run_cli(capsys, "table", "--max-pairs", "2")
-        assert (code, out, err) == (0, fresh_run("table", "--max-pairs", "2"), "")
+        assert (code, out, err) == (0, fresh_run(fresh, "2"), "")
 
-    def test_usage_error_and_out_do_not_carry_over(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["table", "--max-pairs", "0"])
-        assert err.value.code == 2
-        capsys.readouterr()
+    def test_usage_error_and_out_do_not_carry_over(self, capsys, fresh, tmp_path):
+        usage_error(capsys, "table", "--max-pairs", "0")
         path = tmp_path / "t.csv"
         assert run_cli(capsys, "table", "--max-pairs", "3", "--out", str(path)) == (0, "", "")
         code, out, err = run_cli(capsys, "table", "--max-pairs", "3")
-        assert (code, out, err) == (0, fresh_run("table", "--max-pairs", "3"), "")
+        assert (code, out, err) == (0, fresh_run(fresh, "3"), "")
         assert path.read_text(encoding="utf-8") == out

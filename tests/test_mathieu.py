@@ -305,7 +305,7 @@ class TestCharValue:
             for q in (0.0, 0.5, 20.0, 218.0):
                 eigensolves.clear()
                 result = solve(symmetry, m, q)
-                assert eigensolves == [result.truncation], (m, q)
+                assert eigensolves == [(result.truncation, (symmetry.rank_of(m),) * 2)], (m, q)
 
     def test_large_value_within_rounding(self):
         # |a| ~ 2e6: an absolute 1e-12 is below one ulp, so the certificate
@@ -507,6 +507,14 @@ class TestFourierSolution:
         theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         assert np.max(equation_residual(sol, theta)) < 1e-8
 
+    def test_residual_tol_holds_at_q_1e4(self):
+        # Measured 2.1e-9 here, 7.8e-9 at q = 3e4 and 4.5e-8 at 1e5.
+        theta = np.linspace(0.0, 2.0 * math.pi, 2001)
+        for symmetry in ALL:
+            for m in orders_of(symmetry, 12):
+                residual = np.max(equation_residual(fourier_solution(symmetry, m, 1e4), theta))
+                assert residual <= mathieu_mod.RESIDUAL_TOL, (symmetry, m, residual)
+
     @pytest.mark.parametrize("q", [1.0, 5.0])
     @pytest.mark.parametrize("symmetry", ALL)
     def test_orthogonality_within_family(self, symmetry, q):
@@ -613,6 +621,17 @@ def asymptotic_value(label, q):
     return math.fsum(terms), abs(terms[-1]) + 1e-10 * q
 
 
+# DLMF 28.6(i): coefficients of q^0, q^1, ... in the small-q series of a0, a1, b1,
+# a2 and b2 (b1(q) = a1(-q)), the last one that of the first term omitted.
+SMALL_Q_SERIES = {
+    "a0": [0, 0, -1 / 2, 0, 7 / 128, 0, -29 / 2304, 0, 68687 / 18874368],
+    "a1": [1, 1, -1 / 8, -1 / 64, -1 / 1536, 11 / 36864, 49 / 589824],
+    "b1": [1, -1, -1 / 8, 1 / 64, -1 / 1536, -11 / 36864, 49 / 589824],
+    "a2": [4, 0, 5 / 12, 0, -763 / 13824, 0, 1002401 / 79626240, 0, -1669068401 / 458647142400],
+    "b2": [4, 0, -1 / 12, 0, 5 / 13824, 0, -289 / 79626240, 0, 21391 / 458647142400],
+}
+
+
 def spectrum_to_order_12(q):
     """Every a_m and b_m with m <= 12 at q, keyed by label, one solve per family."""
     return {cv.label: cv.value for symmetry in ALL for cv in char_values(symmetry, 12, q)}
@@ -645,3 +664,15 @@ class TestWholePlane:
         for label, value in spectrum_to_order_12(q).items():
             reference, band = asymptotic_value(label, q)
             assert abs(value - reference) <= band, (label, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-8.0, 0.0))
+    def test_small_q_series(self, exponent):
+        # Measured at most 1.03 first omitted terms beyond tol + 4 ulps (a1, 400
+        # log-spaced q); the band allows two.
+        q = 10.0**exponent
+        for label, coefficients in SMALL_Q_SERIES.items():
+            *series, omitted = [c * q**k for k, c in enumerate(coefficients)]
+            value = char_value(*parse_label(label), q).value
+            band = 2.0 * abs(omitted) + DEFAULT_TOL + 4.0 * EPS * max(abs(value), 2.0 * q)
+            assert abs(value - math.fsum(series)) <= band, (label, q)

@@ -280,34 +280,18 @@ class TestBatchedScan:
             f_lo, f_hi = oracle_mod._grid_defects(symmetry, [a_lo, a_hi], q)
             assert (f_lo < 0.0) != (f_hi < 0.0), (a_lo, a_hi, f_lo, f_hi)
 
-    def test_one_coarse_integration_per_value(self, monkeypatch):
-        real = oracle_mod.solve_ivp
-        rtols = []
-
-        def counting(*args, **kwargs):
-            rtols.append(kwargs["rtol"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
+    def test_one_coarse_integration_per_value(self, integrations):
         for symmetry in ALL:
             for q in (0.0, 17.47, 40.0):
-                rtols.clear()
+                integrations.clear()
                 oracle_char_value(symmetry, symmetry.first_order + 4, q)
+                rtols = [rtol for rtol, _ in integrations]
                 assert rtols.count(oracle_mod._COARSE_RTOL) == 1, (symmetry, q)
                 assert set(rtols) == {oracle_mod._COARSE_RTOL, oracle_mod.FINE_RTOL}
 
-    def test_scan_keeps_only_the_end_state(self, monkeypatch):
-        real = oracle_mod.solve_ivp
-        shapes = []
-
-        def recording(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            if kwargs["rtol"] == oracle_mod._COARSE_RTOL:
-                shapes.append(sol.y.shape)
-            return sol
-
-        monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+    def test_scan_keeps_only_the_end_state(self, integrations):
         oracle_char_value(SymmetryClass.EVEN_PI, 6, 40.0)
+        shapes = [shape for rtol, shape in integrations if rtol == oracle_mod._COARSE_RTOL]
         assert len(shapes) == 1 and shapes[0][1] == 1, shapes
 
     def test_failed_integration_names_the_window(self, monkeypatch):
@@ -317,21 +301,14 @@ class TestBatchedScan:
 
 
 class TestRefinement:
-    def test_one_fine_integration_per_value(self, monkeypatch):
+    def test_one_fine_integration_per_value(self, integrations):
         # The Chebyshev fit takes every refinement point from one batched
         # integration, so no value makes a second tight-tolerance one.
-        real = oracle_mod.solve_ivp
-        rtols = []
-
-        def counting(*args, **kwargs):
-            rtols.append(kwargs["rtol"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
         for q in SCAN_QS:
             for symmetry, m in LOW_ORDERS:
-                rtols.clear()
+                integrations.clear()
                 oracle_char_value(symmetry, m, q)
+                rtols = [rtol for rtol, _ in integrations]
                 assert rtols.count(oracle_mod.FINE_RTOL) == 1, (symmetry, m, q, rtols)
 
     @pytest.mark.parametrize("symmetry", ALL)
