@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ConvergenceError
 
@@ -208,19 +208,30 @@ def _bands(symmetry: SymmetryClass, q: float, n: int) -> tuple[np.ndarray, np.nd
 def _eigensolve(bands: tuple[np.ndarray, np.ndarray],
                 ranks: tuple[int, int]) -> tuple[list[float], np.ndarray]:
     """Ascending eigenvalues of ranks lo..hi of the tridiagonal matrix with these
-    (diagonal, off-diagonal) bands, and their unit eigenvectors as columns."""
+    (diagonal, off-diagonal) bands, and their unit eigenvectors as columns.
+
+    LAPACK's dstebz bisects for the values block by block and dstein finds their
+    vectors by inverse iteration, as scipy's eigh_tridiagonal(select="i") does,
+    minus its argument checks.  abstol _EIG_ABSTOL makes bisection refine each
+    value fully; 0 would mean LAPACK's default ulp * ||T||, too loose near 0.
+    """
     diag, off = bands
     if not np.isfinite(off).all():  # sqrt(2) * q overflows for even/pi past ~1.27e308
         raise ConvergenceError(f"the recurrence at truncation {diag.size} overflows to inf")
-    try:
-        values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=ranks,
-                                           tol=_EIG_ABSTOL)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"the eigensolve at truncation {diag.size} failed: {exc}") from exc
+    routine = "dstebz"
+    count, values, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, ranks[0] + 1,
+                                               ranks[1] + 1, _EIG_ABSTOL, "B")
+    if not info:
+        routine, values = "dstein", values[:count]
+        vectors, info = dstein(diag, off, values, block, split)
+    if info:
+        raise ConvergenceError(f"the eigensolve at truncation {diag.size} failed: "
+                               f"{routine} did not converge (LAPACK info={info})")
     if not np.isfinite(vectors).all():  # seen with finite values for q ~ 1e149 to 1e154
         raise ConvergenceError(f"the eigensolve at truncation {diag.size} returned "
                                "non-finite eigenvectors")
-    return values.tolist(), vectors
+    order = np.argsort(values)  # dstebz lists values block by block
+    return values[order].tolist(), vectors[:, order]
 
 
 def _certify(name_of, values, bounds, tol: float, n: int) -> None:

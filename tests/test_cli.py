@@ -11,6 +11,7 @@ import pytest
 
 from quadspec import BracketError
 from quadspec import cli as cli_mod
+from quadspec import mathieu as mathieu_mod
 from quadspec import oracle as oracle_mod
 from quadspec.cli import main
 
@@ -337,6 +338,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "eigensolve at truncation 4096 failed" in err
+        assert "usage:" not in err
+
+    def test_inverse_iteration_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(mathieu_mod, "dstein", lambda *args: (None, 1))
+        code, out, err = run_cli(capsys, "char", "--label", "a3", "--q", "17.47")
+        assert (code, out) == (1, "")
+        assert "dstein did not converge (LAPACK info=1)" in err
         assert "usage:" not in err
 
     @pytest.mark.parametrize("argv", [

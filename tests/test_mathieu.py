@@ -17,6 +17,8 @@ from quadspec import (
     SymmetryClass,
     char_value,
     char_values,
+    classify_channels,
+    critical_table,
     equation_residual,
     eval_theta,
     family_for_label,
@@ -38,6 +40,14 @@ def value_at_truncation(symmetry, q, n, rank):
     """The rank-th eigenvalue of the order-n truncation, one eigensolve."""
     values, _ = mathieu_mod._eigensolve(_bands(symmetry, q, n), (rank, rank))
     return values[0]
+
+
+def scipy_eigensolve(bands, ranks):
+    """Reference for mathieu._eigensolve: scipy's checked wrapper around the same
+    two LAPACK calls, dstebz and dstein."""
+    values, vectors = eigh_tridiagonal(*bands, select="i", select_range=ranks,
+                                       tol=mathieu_mod._EIG_ABSTOL)
+    return values.tolist(), vectors
 
 
 def rows_rule(rank, q, tol=DEFAULT_TOL):
@@ -275,11 +285,18 @@ class TestCharValue:
 
     @pytest.mark.parametrize("q", [1e154, 1e300])
     def test_lapack_failure_is_a_convergence_error(self, q):
-        # LAPACK's bisection fails on entries this large; its LinAlgError is a
-        # ValueError, which the CLI would report as a usage error.
+        # LAPACK's bisection, dstebz, gives up on entries this large; its nonzero
+        # info is a solver failure, not a usage error.
         with pytest.raises(ConvergenceError, match=r"eigensolve at truncation 4096 failed: "
-                                                   r".*LAPACK info="):
+                                                   r"dstebz did not converge \(LAPACK info="):
             char_value(SymmetryClass.EVEN_PI, 0, q)
+
+    def test_inverse_iteration_failure_is_a_convergence_error(self, monkeypatch):
+        # dstein reports eigenvectors that failed to converge in info > 0.
+        monkeypatch.setattr(mathieu_mod, "dstein", lambda *args: (None, 1))
+        with pytest.raises(ConvergenceError, match=r"^the eigensolve at truncation 17 failed: "
+                                                   r"dstein did not converge \(LAPACK info=1\)$"):
+            char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
     @pytest.mark.parametrize("q", [1e149, 1e150, 1e153])
     @pytest.mark.parametrize("symmetry", ALL)
@@ -325,6 +342,41 @@ class TestCharValue:
         bound = -2.0 * q * q / (2.0 + math.sqrt(4.0 + 2.0 * q * q))
         assert value < 0.0
         assert value <= bound + 4.0 * EPS * abs(bound) + 2.0 * mathieu_mod._EIG_ABSTOL
+
+
+class TestEigensolve:
+    """mathieu._eigensolve calls LAPACK directly; scipy's wrapper must give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ALL),
+           st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0**e)),
+           st.integers(16, 400), st.data())
+    def test_equals_scipys_eigh_tridiagonal(self, symmetry, q, n, data):
+        # At q = 0 every off-diagonal entry is 0 and dstebz returns n 1x1 blocks.
+        lo = data.draw(st.integers(0, n - 1))
+        ranks = (lo, data.draw(st.integers(lo, min(lo + 31, n - 1))))
+        values, vectors = mathieu_mod._eigensolve(_bands(symmetry, q, n), ranks)
+        reference, reference_vectors = scipy_eigensolve(_bands(symmetry, q, n), ranks)
+        assert np.array_equal(values, reference)
+        assert np.array_equal(vectors, reference_vectors)
+
+    def test_blocks_in_descending_order_come_back_ascending(self):
+        # dstebz lists values block by block in row order; rows that descend make
+        # argsort reverse them.
+        bands = (np.arange(20.0)[::-1].copy(), np.zeros(19))
+        values, vectors = mathieu_mod._eigensolve(bands, (3, 8))
+        assert values == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert np.array_equal(vectors, np.eye(20)[:, 16:10:-1])
+
+    def test_scipys_kernel_leaves_every_result_unchanged(self, monkeypatch):
+        def results():
+            solution = fourier_solution(SymmetryClass.ODD_2PI, 5, 37.5)
+            return (repr((critical_table(60), classify_channels(10.0), solution)),
+                    solution.coefficients.tobytes())
+
+        direct = results()
+        monkeypatch.setattr(mathieu_mod, "_eigensolve", scipy_eigensolve)
+        assert results() == direct
 
 
 class TestAgainstDoublingLoop:
