@@ -1,17 +1,15 @@
 """Command-line frontend.
 
 Four subcommands -- char, table, channels, gap -- emit flat records as
-CSV (default) or JSON, to stdout or to --out.  Numbers are rendered with
-12 significant digits in both formats so the two emitters round-trip.
+CSV (default) or JSON, to stdout or to --out, from one renderer.  Numbers
+print with 12 significant digits in both formats, so the two round-trip.
 Exit codes: 0 on success, 1 on solver failure, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -29,29 +27,20 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _csv_text(rows) -> str:
+def _render(rows, fmt: str) -> str:
+    """CSV or JSON text of the rows, one pass; numeric cells read the same in
+    both, and JSON prints a non-finite one as null.  No cell needs CSV quoting."""
     columns = list(rows[0])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_value(row[c]) for c in columns])
-    return buf.getvalue()
-
-
-def _json_text(rows) -> str:
-    # Hand-rolled so numeric fields carry exactly the same 12-digit
-    # rendering as the CSV cells; non-finite floats become null.
+    if fmt == "csv":
+        lines = [columns] + [[_format_value(row[c]) for c in columns] for row in rows]
+        return "".join(",".join(cells) + "\n" for cells in lines)
+    keys = [json.dumps(c) + ": " for c in columns]
     rendered = []
     for row in rows:
-        fields = []
-        for c, value in row.items():
-            if isinstance(value, str):
-                text = json.dumps(value)
-            else:
-                text = _format_value(value) if math.isfinite(value) else "null"
-            fields.append(f"{json.dumps(c)}: {text}")
-        rendered.append("  {" + ", ".join(fields) + "}")
+        values = [row[c] for c in columns]
+        cells = [json.dumps(v) if isinstance(v, str)
+                 else _format_value(v) if math.isfinite(v) else "null" for v in values]
+        rendered.append("  {" + ", ".join(k + cell for k, cell in zip(keys, cells)) + "}")
     return "[\n" + ",\n".join(rendered) + "\n]\n"
 
 
@@ -186,7 +175,7 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
-    text = _csv_text(rows) if args.format == "csv" else _json_text(rows)
+    text = _render(rows, args.format)
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")

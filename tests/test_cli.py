@@ -1,4 +1,4 @@
-"""Tests for the command-line interface and its CSV/JSON emitters."""
+"""Tests for the command-line interface and its CSV/JSON renderer."""
 
 import csv
 import io
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quadspec import BracketError
+from quadspec import BracketError, PairingGap, Regime, SymmetryClass
 from quadspec import cli as cli_mod
 from quadspec import mathieu as mathieu_mod
 from quadspec import oracle as oracle_mod
@@ -189,6 +189,23 @@ class TestFormats:
         assert cli_mod._format_value(float("nan")) == "nan"
         assert cli_mod._format_value(float("inf")) == "inf"
         assert cli_mod._format_value(float("-inf")) == "-inf"
+
+    def test_non_finite_cell_is_null_in_json_and_nan_in_csv(self, capsys, monkeypatch):
+        # A computed gap <= 0 has no log (ROADMAP item 2).
+        monkeypatch.setattr(cli_mod, "pairing_gap", lambda m, q, tol: PairingGap(m, q, 0.0))
+        out = stdout_of(capsys, "gap", "--m", "1", "--q", "10", "--format", "json")
+        assert out == '[\n  {"m": 1, "q": 10, "gap": 0, "log_gap": null}\n]\n'
+        out = stdout_of(capsys, "gap", "--m", "1", "--q", "10")
+        assert out == "m,q,gap,log_gap\n1,10,0,nan\n"
+
+    def test_no_printed_word_needs_csv_quoting(self):
+        # CSV cells are written unquoted: no class, regime, label or column
+        # name holds a comma, a quote or a line break.  A label is a family
+        # letter followed by decimal digits.
+        words = [s.cli_name for s in SymmetryClass] + [regime.value for regime in Regime]
+        words += [mathieu_mod.Mode(s, s.order_at(r)).label for s in SymmetryClass for r in (0, 759)]
+        words += TABLE_COLUMNS + ORACLE_COLUMNS + CHANNELS_COLUMNS + GAP_COLUMNS
+        assert not [word for word in words if set(word) & set(',"\r\n')]
 
     def test_negative_zero_renders_as_zero(self):
         assert cli_mod._format_value(-0.0) == "0"
