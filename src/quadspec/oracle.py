@@ -1,7 +1,6 @@
 """Characteristic values by direct integration of the Mathieu equation.
 
-Verification path that shares no numerical machinery with the
-tridiagonal solver in :mod:`quadspec.mathieu`: the equation
+Verification path for the recurrence of :mod:`quadspec.mathieu`: the equation
 
     y''(x) + (a - 2 q cos 2x) y(x) = 0
 
@@ -9,12 +8,20 @@ is integrated over the quarter period [0, pi/2] and each of the four
 periodic families is selected by the parity of y and y' at the two
 endpoints.  For fixed (family, q) the terminal defect is a smooth
 function of ``a`` whose zeros, in ascending order, are the family's
-characteristic values.  One integrator, :func:`_grid_defects`, takes a
-whole ``a``-grid as one system of trial solutions: the m-th value is
-bracketed by a coarse scan of a grid, then located by one tight-tolerance
-integration at the Chebyshev points of the bracket, whose interpolant's
-root in the bracket comes from its colleague matrix (Trefethen,
+characteristic values, and the trial solution's Sturm oscillation count
+N(a) is the number of them below a.  One integrator, :func:`_grid_defects`,
+takes a whole ``a``-grid as one system of trial solutions and returns
+both.  The m-th value is sought in a window centred on
+:func:`~quadspec.mathieu.char_value`'s value; the counts at its two ends
+prove that it holds the m-th value and no other, and one tight-tolerance
+integration at the Chebyshev points of the window gives the value as
+the root of their interpolant, from its colleague matrix (Trefethen,
 *Approximation Theory and Approximation Practice*, ch. 18).
+
+Only the window's centre comes from the recurrence; the rank and every
+digit of the value come from shooting.  A recurrence value that is off
+by less than the window's half-width shows as a discrepancy, one off by
+more as a BracketError naming the counts, and neither as agreement.
 """
 
 from __future__ import annotations
@@ -26,35 +33,40 @@ from numpy.polynomial.chebyshev import chebfit, chebpts2, chebroots
 from scipy.integrate import solve_ivp
 
 from .errors import BracketError, IntegrationError
-from .mathieu import DEFAULT_TOL, SymmetryClass, _validate
+from .mathieu import DEFAULT_TOL, SymmetryClass, _validate, char_value
 
 _HALF_PI = math.pi / 2.0
-#: Step of the bracketing scan in a; same-family values are O(1) apart.
-SCAN_STEP = 0.25
-#: Integrator tolerance for the refinement stage.
+#: Integrator tolerance of the one integration per value.
 FINE_RTOL = 1e-12
 _FINE_ATOL = 1e-12
-#: Chebyshev points of the second kind the refinement integrates the defect at;
-#: on its bracket, three grid steps wide, the fit's last two coefficients are
-#: below 1e-12 of its largest for m <= 6, q <= 40.
+#: Half-width of the window about char_value's value; same-family values are
+#: O(1) apart, so the window holds one of them and need be centred only this well.
+WINDOW = 0.375
+#: Chebyshev points of the second kind the defect is integrated at; on the
+#: window the fit's last two coefficients are below 1e-12 of its largest
+#: for m <= 6, q <= 40.
 CHEB_POINTS = 16
-# The bracketing scan only needs signs, so it runs the integrator loose.
-_COARSE_RTOL = 1e-6
-_COARSE_ATOL = 1e-9
-# Cap on one scan's grid points: twice a0 at q = 2000 (~32,000) or a80 at q = 0.
-_MAX_SCAN_POINTS = 2**16
+# Cap on sqrt(m^2 + 4q + 1), which bounds the trial solutions' wavenumber
+# sqrt(a + 2q) on the window since a_m(q) <= m^2 + 2q (min-max): a0 up to
+# q = 4095.75 or a127 at q = 0.  The integration's steps grow with it.
+_MAX_WAVENUMBER = 128.0
 
 # Terminal condition at pi/2: True means y'(pi/2) = 0, as for cos(hx) with even h and
 # sin(hx) with odd h, False y(pi/2) = 0; with the start condition's parity it picks the family.
 _TERMINAL_IS_DERIVATIVE = {s: (s.parity == "even") == (s.period == "pi") for s in SymmetryClass}
 
 
-def _grid_defects(symmetry, grid, q, rtol=_COARSE_RTOL, atol=_COARSE_ATOL):
-    """Defects at every a of ``grid`` from one DOP853 integration.
+def _grid_defects(symmetry, grid, q):
+    """Defects and oscillation counts at every a of ``grid`` from one DOP853 integration.
 
     The state holds one trial solution per grid point, values first and
-    derivatives second; only its end state is kept.  The scan runs it at
-    the coarse tolerances and uses only the signs.
+    derivatives second, kept at every accepted step.  The count N(a), the
+    number of the family's values below a, is the sign changes of y over the
+    steps, plus 1 where the terminal condition is y'(pi/2) = 0 and y and y'
+    differ in sign at pi/2; a zero counts as non-negative.  Zeros of y lie at
+    least pi / sqrt(a + 2q) apart (Sturm comparison), so a step shorter than
+    that for the grid's largest a crosses at most one and the counts are
+    exact; a longer one is an IntegrationError.
     """
     a = np.asarray(grid)
     k = a.size
@@ -65,74 +77,61 @@ def _grid_defects(symmetry, grid, q, rtol=_COARSE_RTOL, atol=_COARSE_ATOL):
     def rhs(x, y):
         return np.concatenate((y[k:], (2.0 * q * math.cos(2.0 * x) - a) * y[:k]))
 
-    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", t_eval=[_HALF_PI],
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", rtol=FINE_RTOL, atol=_FINE_ATOL)
+    where = f"a in [{grid[0]}, {grid[-1]}], q={q} ({symmetry.cli_name})"
     if not sol.success:
-        raise IntegrationError(
-            f"integration failed for a in [{grid[0]}, {grid[-1]}], q={q} "
-            f"({symmetry.cli_name}): {sol.message}"
-        )
+        raise IntegrationError(f"integration failed for {where}: {sol.message}")
     end = sol.y[:, -1]
-    return (end[k:] if _TERMINAL_IS_DERIVATIVE[symmetry] else end[:k]).tolist()
-
-
-def _scan_brackets(symmetry, q, rank, lo, hi):
-    """First rank+1 grid cells (a_lo, a_hi) on [lo, hi] where the coarse defect
-    changes sign; a zero counts as non-negative.
-
-    The grid steps up from lo by repeated addition, as a point-by-point scan
-    would; lo + i * SCAN_STEP differs from it by an ulp at some points.
-    """
-    if (hi - lo) / SCAN_STEP > _MAX_SCAN_POINTS:
-        raise ValueError(f"the oracle's scan for {symmetry.cli_name} order "
-                         f"{symmetry.order_at(rank)} at q={q} needs {(hi - lo) / SCAN_STEP:.0f} "
-                         f"grid points, above its cap of {_MAX_SCAN_POINTS}")
-    grid = [lo]
-    while grid[-1] <= hi:
-        grid.append(grid[-1] + SCAN_STEP)
-    f = _grid_defects(symmetry, grid, q)
-    return [(x, x_next) for x, x_next, f_prev, f_next in zip(grid, grid[1:], f, f[1:])
-            if (f_prev < 0.0) != (f_next < 0.0)][:rank + 1]
+    if not np.isfinite(end).all():
+        raise IntegrationError(f"integration for {where} ends in a non-finite state")
+    phase = np.diff(sol.t).max() * math.sqrt(max(a.max() + 2.0 * q, 0.0))
+    if not phase < math.pi:
+        raise IntegrationError(f"the longest step for {where} times sqrt(a + 2q) is "
+                               f"{phase:.3g}, not below pi, so it may cross two zeros of y")
+    below = sol.y[:k] < 0.0
+    counts = np.count_nonzero(below[:, 1:] != below[:, :-1], axis=1)
+    if _TERMINAL_IS_DERIVATIVE[symmetry]:
+        defects = end[k:]
+        counts += below[:, -1] != (defects < 0.0)
+    else:
+        defects = end[:k]
+    return defects.tolist(), counts.tolist()
 
 
 def oracle_char_value(
     symmetry: SymmetryClass, m: int, q: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """Characteristic value of order m located purely by shooting.
+    """Characteristic value of order m located by shooting.
 
-    Scans ``a`` upward from below the bottom of the spectrum (the
-    potential is bounded by 2q, so no eigenvalue lies below -2q) with one
-    coarse integration of every grid point at once and brackets the
-    rank-th zero of the terminal defect.  In that bracket, one grid step
-    wider on each side, one tight-tolerance integration gives the defect
-    at CHEB_POINTS Chebyshev points, both ends among them; the value is
-    the one real root in the bracket of their Chebyshev interpolant.
-    ``tol`` is validated but the accuracy is set by FINE_RTOL, so a
-    tighter ``tol`` still returns the fit's root.  Only the argument check
-    is shared with :func:`~quadspec.mathieu.char_value`.
+    The window is WINDOW either side of char_value's value at DEFAULT_TOL,
+    not at ``tol``: it need be right only to WINDOW.  One tight-tolerance
+    integration gives the defect and the oscillation count at CHEB_POINTS
+    Chebyshev points of the window, both ends among them.  The counts at the
+    ends must be the rank of m and one more, so that the window holds this
+    order's value and no other; the value is the one real root in the window
+    of the defect's Chebyshev interpolant.  ``tol`` is validated but the
+    accuracy is set by FINE_RTOL, so a tighter ``tol`` still returns the
+    fit's root.  A wavenumber bound sqrt(m^2 + 4q + 1) above _MAX_WAVENUMBER
+    is a ValueError, raised before any eigensolve or integration.
     """
     rank = _validate(symmetry, m, q, tol)
+    wavenumber = math.sqrt(m * m + 4.0 * q + 1.0)
+    if wavenumber > _MAX_WAVENUMBER:
+        raise ValueError(f"the oracle for {symmetry.cli_name} order {m} at q={q} needs "
+                         f"wavenumbers up to {wavenumber:.6g}, above its cap of "
+                         f"{_MAX_WAVENUMBER:g}")
 
-    lo = -2.0 * q - 1.0
-    hi = float((m + 2) ** 2) + 2.0 * q + 4.0
-    brackets = _scan_brackets(symmetry, q, rank, lo, hi)
-    if len(brackets) <= rank:
-        raise BracketError(
-            f"found only {len(brackets)} defect sign changes for "
-            f"{symmetry.cli_name} in a within [{lo}, {hi}] at q={q}; "
-            f"need {rank + 1}"
-        )
-
-    # The scan's signs are coarse, so a root within its error of a grid
-    # point may lie just outside; same-family values are O(1) apart, so one
-    # more step on each side still holds this root and no other.
-    a_lo, a_hi = brackets[rank][0] - SCAN_STEP, brackets[rank][1] + SCAN_STEP
-    mid, half = 0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo)
+    mid = char_value(symmetry, m, q).value
     x = chebpts2(CHEB_POINTS)
-    f = _grid_defects(symmetry, mid + half * x, q, FINE_RTOL, _FINE_ATOL)
-    where = f"in a within [{a_lo}, {a_hi}] for {symmetry.cli_name} order {m} at q={q}"
+    f, counts = _grid_defects(symmetry, mid + WINDOW * x, q)
+    where = (f"in a within [{mid - WINDOW}, {mid + WINDOW}] for {symmetry.cli_name} "
+             f"order {m} at q={q}")
+    if counts[0] != rank or counts[-1] != rank + 1:
+        raise BracketError(f"the oscillation counts at the window's ends are {counts[0]} "
+                           f"and {counts[-1]}, not {rank} and {rank + 1}, {where}")
     # The defect is positive below the spectrum and changes sign at each
-    # simple root, so just below the rank-th root its sign is (-1)**rank.
+    # simple root, so just below the rank-th root its sign is (-1)**rank;
+    # the counts imply this, and the fit needs it of the defects themselves.
     sign = 1.0 if rank % 2 == 0 else -1.0
     if not (sign * f[0] > 0.0 > sign * f[-1]):
         raise BracketError(f"the fine defect does not change sign from {f[0]} to {f[-1]} "
@@ -141,4 +140,4 @@ def oracle_char_value(
     roots = [r.real for r in roots if r.imag == 0.0 and -1.0 <= r.real <= 1.0]
     if len(roots) != 1:
         raise BracketError(f"the Chebyshev fit has {len(roots)} real roots, not one, {where}")
-    return float(mid + half * roots[0])
+    return float(mid + WINDOW * roots[0])

@@ -387,13 +387,13 @@ class TestExitCodes:
         assert "recurrence at truncation 4096 overflows to inf" in err
         assert "usage:" not in err
 
-    def test_oracle_past_its_scan_cap_exits_2(self, capsys, monkeypatch):
+    def test_oracle_past_its_cap_exits_2(self, capsys, monkeypatch):
         def never(symmetry, grid, q):
-            raise AssertionError(f"a grid of {len(grid)} points was built")
+            raise AssertionError(f"a grid of {len(grid)} points was integrated")
 
         monkeypatch.setattr(oracle_mod, "_grid_defects", never)
-        stderr = usage_error(capsys, "char", "--label", "a0", "--q", "4094", "--oracle").err
-        assert "above its cap of 65536" in stderr
+        stderr = usage_error(capsys, "char", "--label", "a0", "--q", "4096", "--oracle").err
+        assert "needs wavenumbers up to 128.004, above its cap of 128" in stderr
 
     def test_module_entry_point(self, fresh):
         rows = parse_csv(fresh_run(fresh, "1"))

@@ -1,9 +1,13 @@
 """Tests for the quarter-period shooting oracle."""
 
+import bisect
 import cmath
-import json
+import csv
+import dataclasses
+import io
 import math
-from pathlib import Path
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,20 +18,27 @@ from quadspec import (
     IntegrationError,
     SymmetryClass,
     char_value,
+    char_values,
     oracle_char_value,
 )
+from quadspec import cli as cli_mod
 from quadspec import oracle as oracle_mod
 
 ALL = list(SymmetryClass)
 #: Every (family, order) with order <= 6.
 LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_order, 7, 2)]
-#: Strengths of the scan and refinement tests, 0.74070554 near a1's zero.
-SCAN_QS = [0.0, 0.74070554, 17.47, 40.0]
+#: Strengths of the window and refinement tests, 0.74070554 near a1's zero.
+QS = [0.0, 0.74070554, 17.47, 40.0]
 
 
-def defect(symmetry, a, q, rtol, atol):
+def defect(symmetry, a, q):
     """The defect at one a, from its own integration with its own step control."""
-    return oracle_mod._grid_defects(symmetry, [a], q, rtol, atol)[0]
+    return oracle_mod._grid_defects(symmetry, [a], q)[0][0]
+
+
+def count(symmetry, a, q):
+    """The oscillation count at one a, from its own integration."""
+    return oracle_mod._grid_defects(symmetry, [a], q)[1][0]
 
 
 def failed_integration(*args, **kwargs):
@@ -35,6 +46,16 @@ def failed_integration(*args, **kwargs):
     class Failed:
         success, message = False, "step size too small"
     return Failed()
+
+
+def never_crosses(symmetry, grid, q):
+    """Stand-in for _grid_defects: a positive defect and a zero count everywhere."""
+    return [1.0] * len(grid), [0] * len(grid)
+
+
+def centred_on(value):
+    """Stand-in for oracle.char_value whose value is ``value``."""
+    return lambda *args: SimpleNamespace(value=value)
 
 
 class TestTrivialPoints:
@@ -51,9 +72,9 @@ class TestTrivialPoints:
         assert oracle_char_value(symmetry, m, 0.0) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("q", [2.1179212374742805e-131, 1e-300, 5e-324])
-    def test_root_on_a_grid_point(self, q):
-        # a0 ~ -q^2/2 rounds to the grid point 0.0, where the fine defect
-        # (~1e-138 at q ~ 2e-131) has the opposite sign of the coarse one.
+    def test_root_at_the_window_centre(self, q):
+        # a0 ~ -q^2/2 rounds to 0.0, so the window is centred on the root's
+        # float, where the fit's coordinate is exactly 0.
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) == pytest.approx(0.0, abs=1e-10)
 
     def test_critical_point_b1(self):
@@ -62,8 +83,8 @@ class TestTrivialPoints:
 
     @pytest.mark.parametrize("q", [1e-6, 1e-5, 1e-4])
     def test_small_q_series(self, q):
-        # DLMF 28.6.1: a_0 = -q^2/2 + 7q^4/128 - ..., far below the scan's
-        # grid; the Chebyshev fit resolves it to ~1e-15, well under the
+        # DLMF 28.6.1: a_0 = -q^2/2 + 7q^4/128 - ..., far below the window's
+        # width; the Chebyshev fit resolves it to ~1e-15, well under the
         # absolute 1e-12 tolerance.
         series = -q * q / 2.0 + 7.0 * q**4 / 128.0
         assert abs(oracle_char_value(SymmetryClass.EVEN_PI, 0, q) - series) < 1e-2 * abs(series)
@@ -96,8 +117,7 @@ class TestDefect:
         # At q = 0 the equation is y'' + a y = 0; a < 0 gives the cosh/sinh
         # solutions through the imaginary h.
         grid = [-3.0, -0.5, 0.3, 2.7, 11.1, 30.2]
-        f = oracle_mod._grid_defects(symmetry, grid, 0.0, oracle_mod.FINE_RTOL,
-                                     oracle_mod._FINE_ATOL)
+        f, _ = oracle_mod._grid_defects(symmetry, grid, 0.0)
         for a, f_a in zip(grid, f):
             assert f_a == pytest.approx(free_defect(symmetry, a), rel=1e-9, abs=1e-10), a
 
@@ -106,11 +126,10 @@ class TestDefect:
         # shared step control only tightens what each trial solution gets.
         grid = [-3.0, 0.3, 2.7, 11.1]
         for symmetry in ALL:
-            batch = oracle_mod._grid_defects(symmetry, grid, 17.47, oracle_mod.FINE_RTOL,
-                                             oracle_mod._FINE_ATOL)
+            batch, _ = oracle_mod._grid_defects(symmetry, grid, 17.47)
             assert len(batch) == len(grid)
             for a, f_a in zip(grid, batch):
-                alone = defect(symmetry, a, 17.47, oracle_mod.FINE_RTOL, oracle_mod._FINE_ATOL)
+                alone = defect(symmetry, a, 17.47)
                 assert f_a == pytest.approx(alone, rel=1e-8, abs=1e-10), (symmetry, a)
 
     def test_failed_integration_names_the_grid_and_family(self, monkeypatch):
@@ -119,44 +138,89 @@ class TestDefect:
                                                    r"step size too small"):
             oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
 
-    @pytest.mark.parametrize("q", SCAN_QS)
+    @pytest.mark.parametrize("q", QS)
     def test_positive_below_the_spectrum(self, q):
         # The refinement's sign rule rests on this: below a_0 or b_1 the
         # trial solution does not oscillate and the defect is positive.
         for symmetry in ALL:
-            f = defect(symmetry, -2.0 * q - 1.0, q, oracle_mod.FINE_RTOL, oracle_mod._FINE_ATOL)
-            assert f > 0.0, symmetry
+            assert defect(symmetry, -2.0 * q - 1.0, q) > 0.0, symmetry
 
     def test_continuity_in_a(self):
         # The defect is smooth in a; a 1e-6 nudge moves it by O(1e-6).
         q = 2.0
         for symmetry in ALL:
             for a in np.linspace(-2.0, 12.0, 15):
-                f0 = defect(symmetry, a, q, rtol=1e-10, atol=1e-12)
-                f1 = defect(symmetry, a + 1e-6, q, rtol=1e-10, atol=1e-12)
+                f0 = defect(symmetry, a, q)
+                f1 = defect(symmetry, a + 1e-6, q)
                 assert abs(f1 - f0) < 1e-3 * (1.0 + abs(f0))
 
-    @pytest.mark.parametrize(
-        "symmetry,m,q",
-        [
-            (SymmetryClass.EVEN_PI, 4, 2.0),
-            (SymmetryClass.EVEN_2PI, 3, 1.0),
-            (SymmetryClass.ODD_2PI, 3, 5.0),
-            (SymmetryClass.ODD_PI, 4, 2.0),
-        ],
-    )
-    def test_spectrum_completeness_window(self, symmetry, m, q):
-        # A family holds every other order, so the window [-2q, (m+2)^2+2q]
-        # must contain all its eigenvalues up to order m and hence at least
-        # rank+1 defect sign changes -- the number the oracle scans for.
-        rank = symmetry.rank_of(m)
-        lo, hi = -2.0 * q, (m + 2) ** 2 + 2.0 * q
-        grid = np.arange(lo, hi + 0.25, 0.25)
-        signs = [defect(symmetry, a, q, rtol=1e-6, atol=1e-9) for a in grid]
-        crossings = sum(
-            1 for f0, f1 in zip(signs, signs[1:]) if f0 == 0.0 or (f0 < 0) != (f1 < 0)
-        )
-        assert crossings >= rank + 1
+
+def lambdas_and_counts(symmetry, rank, q):
+    """Trial a midway between consecutive values of the family up to rank + 1,
+    below the lowest and at rank's window ends, with the number of values below each."""
+    values = [cv.value for cv in char_values(symmetry, symmetry.order_at(rank + 1), q)]
+    centre = values[rank]
+    lambdas = [-2.0 * q - 1.0] + [0.5 * (lo + hi) for lo, hi in zip(values, values[1:])]
+    lambdas += [centre - oracle_mod.WINDOW, centre + oracle_mod.WINDOW]
+    return lambdas, [bisect.bisect_left(values, a) for a in lambdas]
+
+
+class TestOscillationCount:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(ALL), st.integers(0, 40),
+           st.one_of(st.just(0.0), st.floats(-12.0, math.log10(2000.0)).map(
+               lambda exponent: min(10.0**exponent, 2000.0))))
+    def test_counts_the_values_below(self, symmetry, rank, q):
+        # N(a) is the number of the family's values below a, midway between
+        # consecutive ones and at the window ends, for any family, rank <= 40
+        # and q log-uniform in [1e-12, 2000] or 0.
+        lambdas, expected = lambdas_and_counts(symmetry, rank, q)
+        assert expected[-2:] == [rank, rank + 1]
+        _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q)
+        assert counts == sorted(expected), (symmetry, rank, q)
+
+    @pytest.mark.parametrize("symmetry", ALL)
+    def test_batch_count_matches_each_point_alone(self, symmetry):
+        lambdas, expected = lambdas_and_counts(symmetry, 5, 17.47)
+        grid = sorted(lambdas)
+        _, counts = oracle_mod._grid_defects(symmetry, grid, 17.47)
+        assert counts == [count(symmetry, a, 17.47) for a in grid] == sorted(expected)
+
+    @pytest.mark.parametrize("symmetry,m,q", [
+        (SymmetryClass.EVEN_PI, 4, 2.0),
+        (SymmetryClass.EVEN_2PI, 3, 1.0),
+        (SymmetryClass.ODD_2PI, 3, 5.0),
+        (SymmetryClass.ODD_PI, 4, 2.0),
+        (SymmetryClass.EVEN_PI, 0, 2000.0),
+        (SymmetryClass.ODD_PI, 40, 2000.0),
+    ])
+    def test_min_max_bound_behind_the_cap(self, symmetry, m, q):
+        # a_m(q) <= m^2 + 2q, so the window's top a + 2q, the trial solutions'
+        # squared wavenumber, is below m^2 + 4q + WINDOW, under the cap's bound.
+        assert count(symmetry, m * m + 2.0 * q + oracle_mod.WINDOW, q) >= symmetry.rank_of(m) + 1
+
+    def test_too_long_a_step_raises(self, monkeypatch):
+        # One step over [0, pi/2] at a = 4: zeros of cos(2x) lie pi/2 apart,
+        # so a step of pi/2 could cross two and the count would be unproven.
+        def one_step(rhs, span, y0, **kwargs):
+            return SimpleNamespace(success=True, t=np.array(span), y=np.stack([y0, y0], axis=1))
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", one_step)
+        with pytest.raises(IntegrationError, match=r"a in \[4\.0, 4\.0\], q=0\.0 \(even-pi\) "
+                                                   r"times sqrt\(a \+ 2q\) is 3\.14, not below pi"):
+            oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [4.0], 0.0)
+
+    def test_non_finite_end_state_raises(self, monkeypatch):
+        real = oracle_mod.solve_ivp
+
+        def overflowed(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            sol.y[0, -1] = math.inf
+            return sol
+
+        monkeypatch.setattr(oracle_mod, "solve_ivp", overflowed)
+        with pytest.raises(IntegrationError, match=r"ends in a non-finite state"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
 
 class TestErrors:
@@ -175,148 +239,107 @@ class TestErrors:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0, tol=math.inf)
 
     def test_bracket_error_reports_window(self, monkeypatch):
-        def never_crosses(symmetry, grid, q):
-            return [1.0] * len(grid)
-
         monkeypatch.setattr(oracle_mod, "_grid_defects", never_crosses)
         with pytest.raises(BracketError) as err:
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
         assert "within" in str(err.value)
 
-    @pytest.mark.parametrize("symmetry,m,q,points", [
-        (SymmetryClass.EVEN_PI, 0, 4094.0, 65540),
-        (SymmetryClass.EVEN_2PI, 127, 0.0, 66584),
+    @pytest.mark.parametrize("symmetry,m,q,wavenumber", [
+        (SymmetryClass.EVEN_PI, 0, 4096.0, "128.004"),
+        (SymmetryClass.EVEN_2PI, 129, 0.0, "129.004"),
+        (SymmetryClass.EVEN_PI, 0, 1e7, "6324.56"),
     ])
-    def test_scan_past_its_cap_is_refused_before_any_grid(self, monkeypatch, symmetry, m, q,
-                                                          points):
-        # The grid has 4(m + 2)^2 + 16q + 20 points; past 2**16 of them the
-        # one batched integration would need gigabytes, or never end once
-        # lo + SCAN_STEP == lo.
-        def never(symmetry, grid, q):
-            raise AssertionError(f"a grid of {len(grid)} points was built")
+    def test_past_its_cap_is_refused_before_any_solve(self, monkeypatch, symmetry, m, q,
+                                                      wavenumber):
+        # sqrt(m^2 + 4q + 1) bounds the trial solutions' wavenumber on the
+        # window, and the integration's steps grow with it; past 128 the oracle
+        # refuses before any eigensolve or integration.
+        def never(*args):
+            raise AssertionError("the oracle solved past its cap")
 
         monkeypatch.setattr(oracle_mod, "_grid_defects", never)
-        with pytest.raises(ValueError, match=rf"order {m} at q={q} needs {points} grid "
-                                             r"points, above its cap of 65536"):
+        monkeypatch.setattr(oracle_mod, "char_value", never)
+        with pytest.raises(ValueError, match=rf"order {m} at q={q} needs wavenumbers up to "
+                                             rf"{wavenumber}, above its cap of 128"):
             oracle_char_value(symmetry, m, q)
 
-    def test_scan_at_its_cap_runs(self, monkeypatch):
-        def never_crosses(symmetry, grid, q):
-            return [1.0] * len(grid)
-
+    @pytest.mark.parametrize("symmetry,m,q", [
+        (SymmetryClass.EVEN_PI, 0, 4095.75),
+        (SymmetryClass.EVEN_2PI, 127, 0.0),
+    ])
+    def test_at_its_cap_runs(self, monkeypatch, symmetry, m, q):
         monkeypatch.setattr(oracle_mod, "_grid_defects", never_crosses)
-        with pytest.raises(BracketError):  # 65,532 points: scanned, no sign change
-            oracle_char_value(SymmetryClass.EVEN_PI, 0, 4093.5)
+        with pytest.raises(BracketError):  # admitted: the window's stubbed counts fail
+            oracle_char_value(symmetry, m, q)
 
 
-#: Brackets of point_by_point_scan for each (family, q) of TestBatchedScan,
-#: up to the top order <= 6; regenerate with ``python tests/test_oracle.py``.
-SCAN_REFERENCE = Path(__file__).with_name("scan_brackets.json")
+class TestNeverAgreement:
+    # The window comes from char_value, the rank and the value from shooting,
+    # so a wrong recurrence value shows as a discrepancy or a failed count.
 
+    @pytest.mark.parametrize("shift", [-0.3, 1e-6, 0.3])
+    def test_off_centre_window_gives_the_true_root(self, monkeypatch, shift):
+        symmetry, m, q = SymmetryClass.EVEN_2PI, 3, 17.47
+        expected = char_value(symmetry, m, q).value
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(expected + shift))
+        assert abs(oracle_char_value(symmetry, m, q) - expected) < 1e-9
 
-def point_by_point_scan(symmetry, q, rank, lo, hi):
-    """The scan as one coarse integration per grid point, stopping at rank+1
-    sign changes; a zero counts as non-negative."""
-    step = oracle_mod.SCAN_STEP
-    rtol, atol = oracle_mod._COARSE_RTOL, oracle_mod._COARSE_ATOL
-    brackets = []
-    x = lo
-    f_prev = defect(symmetry, x, q, rtol, atol)
-    while x <= hi and len(brackets) <= rank:
-        x_next = x + step
-        f_next = defect(symmetry, x_next, q, rtol, atol)
-        if (f_prev < 0.0) != (f_next < 0.0):
-            brackets.append((x, x_next))
-        x, f_prev = x_next, f_next
-    return brackets
+    def test_discrepancy_shows_a_wrong_value(self, monkeypatch, capsys):
+        # A recurrence value 1e-6 off moves the window, not the root, so the
+        # CLI's discrepancy reads that 1e-6.
+        real = char_value
 
+        def shifted(*args):
+            cv = real(*args)
+            return dataclasses.replace(cv, value=cv.value + 1e-6)
 
-def scan_windows(symmetry, q):
-    """The scan's start and, per order m <= 6 of the family, (rank, window end)."""
-    orders = [m for family, m in LOW_ORDERS if family is symmetry]
-    return -2.0 * q - 1.0, [(symmetry.rank_of(m), float((m + 2) ** 2) + 2.0 * q + 4.0)
-                            for m in orders]
+        monkeypatch.setattr(cli_mod, "char_value", shifted)
+        monkeypatch.setattr(oracle_mod, "char_value", shifted)
+        assert cli_mod.main(["char", "--label", "a3", "--q", "17.47", "--oracle"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert float(row["discrepancy"]) == pytest.approx(1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("neighbour,counts", [(0, "0 and 1"), (4, "2 and 3")])
+    def test_window_on_a_neighbour_names_both_counts(self, monkeypatch, neighbour, counts):
+        # A window about a0 or a4 holds that value, not a2's, and its counts say so.
+        value = char_value(SymmetryClass.EVEN_PI, neighbour, 1.0).value
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(value))
+        window = re.escape(f"[{value - oracle_mod.WINDOW}, {value + oracle_mod.WINDOW}]")
+        with pytest.raises(BracketError, match=rf"counts at the window's ends are {counts}, not "
+                                               rf"1 and 2, in a within {window} for even-pi "
+                                               r"order 2 at q=1\.0"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 2, 1.0)
 
-def scan_key(symmetry, q):
-    return f"{symmetry.name} {q!r}"
-
-
-def write_scan_reference():
-    """Run the point-by-point scan for every TestBatchedScan case and store it."""
-    reference = {}
-    for symmetry in ALL:
-        for q in SCAN_QS:
-            lo, windows = scan_windows(symmetry, q)
-            top, top_hi = windows[-1]
-            reference[scan_key(symmetry, q)] = point_by_point_scan(symmetry, q, top, lo, top_hi)
-    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in reference.items()]
-    SCAN_REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-
-
-class TestBatchedScan:
-    @pytest.mark.parametrize("symmetry", ALL)
-    @pytest.mark.parametrize("q", SCAN_QS)
-    def test_brackets_match_point_by_point_scan(self, symmetry, q):
-        # A scan for the top rank is one for every lower rank run longer, so
-        # one reference per (family, q) covers each order m <= 6 by its prefix.
-        reference = json.loads(SCAN_REFERENCE.read_text(encoding="utf-8"))
-        reference = [tuple(b) for b in reference[scan_key(symmetry, q)]]
-        lo, windows = scan_windows(symmetry, q)
-        assert len(reference) == windows[-1][0] + 1
-        for rank, hi in windows:
-            brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
-            assert brackets == reference[:rank + 1]
-
-    @pytest.mark.parametrize("symmetry", ALL)
-    @pytest.mark.parametrize("q", SCAN_QS)
-    def test_every_bracket_changes_sign(self, symmetry, q):
-        # The coarse defects at a bracket's two ends have opposite signs.
-        lo, windows = scan_windows(symmetry, q)
-        rank, hi = windows[-1]
-        brackets = oracle_mod._scan_brackets(symmetry, q, rank, lo, hi)
-        assert len(brackets) == rank + 1
-        for a_lo, a_hi in brackets:
-            f_lo, f_hi = oracle_mod._grid_defects(symmetry, [a_lo, a_hi], q)
-            assert (f_lo < 0.0) != (f_hi < 0.0), (a_lo, a_hi, f_lo, f_hi)
-
-    def test_one_coarse_integration_per_value(self, integrations):
-        for symmetry in ALL:
-            for q in (0.0, 17.47, 40.0):
-                integrations.clear()
-                oracle_char_value(symmetry, symmetry.first_order + 4, q)
-                rtols = [rtol for rtol, _ in integrations]
-                assert rtols.count(oracle_mod._COARSE_RTOL) == 1, (symmetry, q)
-                assert set(rtols) == {oracle_mod._COARSE_RTOL, oracle_mod.FINE_RTOL}
-
-    def test_scan_keeps_only_the_end_state(self, integrations):
-        oracle_char_value(SymmetryClass.EVEN_PI, 6, 40.0)
-        shapes = [shape for rtol, shape in integrations if rtol == oracle_mod._COARSE_RTOL]
-        assert len(shapes) == 1 and shapes[0][1] == 1, shapes
-
-    def test_failed_integration_names_the_window(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
-        with pytest.raises(IntegrationError, match=r"a in \[-3.0, .*q=1.0"):
-            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("symmetry,m,q", [
+        (SymmetryClass.EVEN_PI, 0, 4095.75),
+        (SymmetryClass.EVEN_2PI, 127, 0.0),
+    ])
+    def test_at_the_cap_no_warning_escapes(self, symmetry, m, q):
+        # a0's trial solutions grow to ~e^129 through the forbidden region at
+        # q = 4095.75, far from overflow (e^709).
+        value = oracle_char_value(symmetry, m, q)
+        assert abs(value - char_value(symmetry, m, q).value) < 1e-12 * abs(value)
 
 
 class TestRefinement:
-    def test_one_fine_integration_per_value(self, integrations):
-        # The Chebyshev fit takes every refinement point from one batched
-        # integration, so no value makes a second tight-tolerance one.
-        for q in SCAN_QS:
+    def test_one_integration_per_value(self, integrations):
+        # Counts, defects and the Chebyshev fit all come from one batched
+        # tight-tolerance integration that keeps its accepted steps.
+        for q in QS:
             for symmetry, m in LOW_ORDERS:
                 integrations.clear()
                 oracle_char_value(symmetry, m, q)
-                rtols = [rtol for rtol, _ in integrations]
-                assert rtols.count(oracle_mod.FINE_RTOL) == 1, (symmetry, m, q, rtols)
+                assert [rtol for rtol, _ in integrations] == [oracle_mod.FINE_RTOL]
+                (_, (rows, steps)), = integrations
+                assert rows == 2 * oracle_mod.CHEB_POINTS and steps > 2, (symmetry, m, q)
 
     @pytest.mark.parametrize("symmetry", ALL)
-    @pytest.mark.parametrize("q", SCAN_QS)
-    def test_chebyshev_points_resolve_the_bracket(self, monkeypatch, symmetry, q):
+    @pytest.mark.parametrize("q", QS)
+    def test_chebyshev_points_resolve_the_window(self, monkeypatch, symmetry, q):
         # The interpolant's last two coefficients are below 1e-12 of its
-        # largest: CHEB_POINTS resolve the defect on the widened bracket to
-        # its integration noise, so the fit's root is the defect's.
+        # largest: CHEB_POINTS resolve the defect on the window to its
+        # integration noise, so the fit's root is the defect's.
         real = oracle_mod.chebfit
         fits = []
 
@@ -334,75 +357,45 @@ class TestRefinement:
                 assert coefficients.size == oracle_mod.CHEB_POINTS
                 assert coefficients[-2:].max() < 1e-12 * coefficients.max(), (m, coefficients)
 
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_root_beyond_a_coarse_bracket_end(self, monkeypatch, shift):
-        # A coarse defect with the wrong sign at the grid point next to the
-        # root moves the scan's sign change one grid point early or late,
-        # so the true root lies outside the scan's bracket.
-        symmetry, m, q = SymmetryClass.EVEN_2PI, 3, 17.47
-        rank = symmetry.rank_of(m)
-        real_grid, real_scan = oracle_mod._grid_defects, oracle_mod._scan_brackets
-        brackets = []
-
-        def shifted(symmetry, grid, q, rtol=oracle_mod._COARSE_RTOL,
-                    atol=oracle_mod._COARSE_ATOL):
-            f = real_grid(symmetry, grid, q, rtol, atol)
-            if rtol != oracle_mod._COARSE_RTOL:  # the fine stage is left as it is
-                return f
-            i = [j for j in range(len(f) - 1) if (f[j] < 0.0) != (f[j + 1] < 0.0)][rank]
-            if shift < 0:
-                f[i] = f[i + 1]
-            else:
-                f[i + 1] = f[i]
-            return f
-
-        def recording_scan(*args):
-            brackets.extend(real_scan(*args))
-            return brackets
-
-        monkeypatch.setattr(oracle_mod, "_grid_defects", shifted)
-        monkeypatch.setattr(oracle_mod, "_scan_brackets", recording_scan)
-        value = oracle_char_value(symmetry, m, q)
-        expected = char_value(symmetry, m, q).value
-        a_lo, a_hi = brackets[rank]
-        assert not a_lo < expected < a_hi
-        assert abs(value - expected) < 1e-9
-
     @pytest.mark.parametrize("m", [128, 200])
     def test_large_value_converges(self, monkeypatch, m):
         # Half an ulp of a = m^2 >= 16384 exceeds the default tol of 1e-12.
-        # The scan would integrate ~10^5 grid points here, so its bracket is
-        # given: the root m^2 at q = 0 sits on a grid point, where the sign
-        # change starts.
-        def grid_point_bracket(symmetry, q, rank, lo, hi):
-            return [(m * m, m * m + oracle_mod.SCAN_STEP)] * (rank + 1)
-
-        monkeypatch.setattr(oracle_mod, "_scan_brackets", grid_point_bracket)
+        # The cap refuses these orders at q = 0, so it is raised for them.
+        monkeypatch.setattr(oracle_mod, "_MAX_WAVENUMBER", 256.0)
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
 
-    def test_bracket_without_a_sign_change_names_the_window(self, monkeypatch):
-        # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
-        # the widened bracket [4.75, 5.5]; the fit would have no root there.
-        def far_from_any_root(symmetry, q, rank, lo, hi):
-            return [(5.0, 5.25)] * (rank + 1)
+    def test_failed_integration_names_the_window(self, monkeypatch):
+        # a0(1) ~ -0.455, so the window is [-0.830, -0.080].
+        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
+        with pytest.raises(IntegrationError, match=r"a in \[-0\.8301\d*, -0\.0801\d*\], q=1\.0"):
+            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
-        monkeypatch.setattr(oracle_mod, "_scan_brackets", far_from_any_root)
+    def test_window_without_a_sign_change_names_the_window(self, monkeypatch):
+        # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
+        # the window [4.75, 5.5]; counts made to pass let the sign check fire.
+        real = oracle_mod._grid_defects
+
+        def counted_as_rank_0(symmetry, grid, q):
+            f, _ = real(symmetry, grid, q)
+            return f, [0] * (len(grid) - 1) + [1]
+
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(5.125))
+        monkeypatch.setattr(oracle_mod, "_grid_defects", counted_as_rank_0)
         with pytest.raises(BracketError, match=r"does not change sign .* within \[4\.75, 5\.5\] "
                                                r"for even-pi order 0 at q=1\.0"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
     def test_fit_with_three_roots_names_the_window(self, monkeypatch):
-        # A fine defect -x(x^2 - 1/4) in the bracket's coordinate x in [-1, 1]
-        # falls through it, as rank 0 needs, but with three roots, not one.
-        real_grid = oracle_mod._grid_defects
+        # A defect -x(x^2 - 1/4) in the window's coordinate x in [-1, 1] falls
+        # through it, as rank 0 needs, but with three roots, not one.
+        real = oracle_mod._grid_defects
 
-        def three_roots(symmetry, grid, q, rtol=oracle_mod._COARSE_RTOL,
-                        atol=oracle_mod._COARSE_ATOL):
-            if rtol == oracle_mod._COARSE_RTOL:
-                return real_grid(symmetry, grid, q, rtol, atol)
+        def three_roots(symmetry, grid, q):
+            _, counts = real(symmetry, grid, q)
             x = (2.0 * np.asarray(grid) - grid[0] - grid[-1]) / (grid[-1] - grid[0])
-            return (-x * (x * x - 0.25)).tolist()
+            return (-x * (x * x - 0.25)).tolist(), counts
 
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(-0.375))
         monkeypatch.setattr(oracle_mod, "_grid_defects", three_roots)
         with pytest.raises(BracketError, match=r"has 3 real roots, not one, in a within "
                                                r"\[-0\.75, 0\.0\] for even-pi order 0 at q=1\.0"):
@@ -415,8 +408,9 @@ class TestRefinement:
         (SymmetryClass.ODD_PI, 6, 40.0),
     ])
     def test_tol_below_the_noise_floor(self, symmetry, m, q, tol):
-        # The fine defect cannot resolve a to 1e-15, let alone 1e-300; the
-        # accuracy is FINE_RTOL's, and the fit's root is returned.
+        # The defect cannot resolve a to 1e-15, let alone 1e-300; the accuracy
+        # is FINE_RTOL's, the window is char_value's at the default tol, and
+        # the fit's root is returned.
         value = oracle_char_value(symmetry, m, q, tol=tol)
         assert abs(value - char_value(symmetry, m, q).value) < 1e-9
 
@@ -435,7 +429,3 @@ class TestProperties:
         # Chebyshev fit resolves a_0 ~ -q^2/2 = -5e-13 at q = 1e-6 to ~1e-15,
         # well below the 1e-12 tolerance; the sign is right from q ~ 1e-7.
         assert oracle_char_value(SymmetryClass.EVEN_PI, 0, q) < 0.0
-
-
-if __name__ == "__main__":
-    write_scan_reference()
