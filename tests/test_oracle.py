@@ -186,6 +186,22 @@ class TestOscillationCount:
         _, counts = oracle_mod._grid_defects(symmetry, grid, 17.47)
         assert counts == [count(symmetry, a, 17.47) for a in grid] == sorted(expected)
 
+    @pytest.mark.parametrize("symmetry", ALL)
+    @pytest.mark.parametrize("q", QS)
+    def test_window_ends_count_rank_and_one_more(self, symmetry, q):
+        # About each order's recurrence value the window's ends count rank and
+        # rank + 1, and the defect falls through zero from the sign (-1)**rank
+        # the refinement checks, for every order m <= 6 of the family.
+        for family, m in LOW_ORDERS:
+            if family is symmetry:
+                rank = symmetry.rank_of(m)
+                mid = char_value(symmetry, m, q).value
+                f, counts = oracle_mod._grid_defects(
+                    symmetry, [mid - oracle_mod.WINDOW, mid + oracle_mod.WINDOW], q)
+                assert counts == [rank, rank + 1], (m, counts)
+                sign = 1.0 if rank % 2 == 0 else -1.0
+                assert sign * f[0] > 0.0 > sign * f[1], (m, f)
+
     @pytest.mark.parametrize("symmetry,m,q", [
         (SymmetryClass.EVEN_PI, 4, 2.0),
         (SymmetryClass.EVEN_2PI, 3, 1.0),
@@ -277,8 +293,9 @@ class TestNeverAgreement:
     # The window comes from char_value, the rank and the value from shooting,
     # so a wrong recurrence value shows as a discrepancy or a failed count.
 
-    @pytest.mark.parametrize("shift", [-0.3, 1e-6, 0.3])
+    @pytest.mark.parametrize("shift", [-0.37, -0.3, 1e-6, 0.3, 0.37])
     def test_off_centre_window_gives_the_true_root(self, monkeypatch, shift):
+        # A shift of 0.37 leaves the root 0.005 inside a window end.
         symmetry, m, q = SymmetryClass.EVEN_2PI, 3, 17.47
         expected = char_value(symmetry, m, q).value
         monkeypatch.setattr(oracle_mod, "char_value", centred_on(expected + shift))
