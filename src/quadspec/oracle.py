@@ -22,15 +22,20 @@ Only the window's centre comes from the recurrence; the rank and every
 digit of the value come from shooting.  A recurrence value that is off
 by less than the window's half-width shows as a discrepancy, one off by
 more as a BracketError naming the counts, and neither as agreement.
+
+The integrator is Hairer's Fortran DOP853 through scipy's ``ode``.  Its wrapper
+keeps a reference to each callback per call, so the callbacks, the solver and its
+bound solout persist; they read each batch from module state under a lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts2, chebroots
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 
 from .errors import BracketError, IntegrationError
 from .mathieu import DEFAULT_TOL, SymmetryClass, _validate, char_value
@@ -55,9 +60,27 @@ _MAX_WAVENUMBER = 128.0
 # sin(hx) with odd h, False y(pi/2) = 0; with the start condition's parity it picks the family.
 _TERMINAL_IS_DERIVATIVE = {s: (s.parity == "even") == (s.period == "pi") for s in SymmetryClass}
 
+_batch = {}  # the batch being integrated, set and cleared under _LOCK
+_LOCK = threading.Lock()  # DOP853 is not re-entrant
+
+
+def _rhs(x, y):
+    k = _batch["k"]
+    return np.concatenate((y[k:], (2.0 * _batch["q"] * math.cos(2.0 * x) - _batch["a"]) * y[:k]))
+
+
+def _keep_step(x, y):
+    _batch["t"].append(x)
+    _batch["below"].append(y[:_batch["k"]] < 0.0)
+
+
+_SOLVER = ode(_rhs).set_integrator("dop853", rtol=FINE_RTOL, atol=_FINE_ATOL, nsteps=100_000)
+_SOLVER.set_solout(_keep_step)
+_SOLVER._integrator._solout = _SOLVER._integrator._solout  # one bound method, not one per call
+
 
 def _grid_defects(symmetry, grid, q):
-    """Defects and oscillation counts at every a of ``grid`` from one DOP853 integration.
+    """Defects and oscillation counts at every a of ``grid`` from one Fortran DOP853 integration.
 
     The state holds one trial solution per grid point, values first and
     derivatives second, kept at every accepted step.  The count N(a), the
@@ -66,33 +89,35 @@ def _grid_defects(symmetry, grid, q):
     differ in sign at pi/2; a zero counts as non-negative.  Zeros of y lie at
     least pi / sqrt(a + 2q) apart (Sturm comparison), so a step shorter than
     that for the grid's largest a crosses at most one and the counts are
-    exact; a longer one is an IntegrationError.
+    exact; a longer one is an IntegrationError, as is a failure under any
+    warning filter.  The shared solver is held under _LOCK throughout.
     """
     a = np.asarray(grid)
     k = a.size
-    y0 = np.zeros(2 * k)
-    start = 0 if symmetry.parity == "even" else k  # y(0) = 1 or y'(0) = 1
-    y0[start:start + k] = 1.0
-
-    def rhs(x, y):
-        return np.concatenate((y[k:], (2.0 * q * math.cos(2.0 * x) - a) * y[:k]))
-
-    sol = solve_ivp(rhs, (0.0, _HALF_PI), y0, method="DOP853", rtol=FINE_RTOL, atol=_FINE_ATOL)
+    y0 = np.repeat([1.0, 0.0] if symmetry.parity == "even" else [0.0, 1.0], k)  # y(0) or y'(0) = 1
     where = f"a in [{grid[0]}, {grid[-1]}], q={q} ({symmetry.cli_name})"
-    if not sol.success:
-        raise IntegrationError(f"integration failed for {where}: {sol.message}")
-    end = sol.y[:, -1]
+    t, below = [], []
+    with _LOCK:
+        _batch.update(k=k, a=a, q=q, t=t, below=below)
+        try:
+            end = _SOLVER.set_initial_value(y0).integrate(_HALF_PI)
+        except UserWarning:  # how ode reports a failure under -W error; the code follows
+            pass
+        finally:
+            _batch.clear()
+        if (code := _SOLVER.get_return_code()) < 0:
+            raise IntegrationError(f"integration failed for {where}: "
+                                   f"{_SOLVER._integrator.messages[code]}")
     if not np.isfinite(end).all():
         raise IntegrationError(f"integration for {where} ends in a non-finite state")
-    phase = np.diff(sol.t).max() * math.sqrt(max(a.max() + 2.0 * q, 0.0))
+    phase = np.diff(t).max() * math.sqrt(max(a.max() + 2.0 * q, 0.0))
     if not phase < math.pi:
         raise IntegrationError(f"the longest step for {where} times sqrt(a + 2q) is "
                                f"{phase:.3g}, not below pi, so it may cross two zeros of y")
-    below = sol.y[:k] < 0.0
-    counts = np.count_nonzero(below[:, 1:] != below[:, :-1], axis=1)
+    counts = np.count_nonzero(np.diff(below, axis=0), axis=0)
     if _TERMINAL_IS_DERIVATIVE[symmetry]:
         defects = end[k:]
-        counts += below[:, -1] != (defects < 0.0)
+        counts += below[-1] != (defects < 0.0)
     else:
         defects = end[:k]
     return defects.tolist(), counts.tolist()

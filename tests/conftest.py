@@ -26,13 +26,23 @@ def eigensolves(monkeypatch):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(rtol, shape of sol.y) of every integration the oracle makes, in order."""
-    real, calls = oracle_mod.solve_ivp, []
+    """(rtol, (components, accepted steps)) of every integration the oracle makes, in order."""
+    real, calls = oracle_mod._SOLVER, []
 
-    def recording(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        calls.append((kwargs["rtol"], sol.y.shape))
-        return sol
+    class Recording:
+        """The oracle's ode instance, recording each integration."""
 
-    monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def set_initial_value(self, y):
+            real.set_initial_value(y)
+            return self
+
+        def integrate(self, x):
+            end = real.integrate(x)
+            calls.append((real._integrator.rtol, (end.size, len(oracle_mod._batch["t"]))))
+            return end
+
+    monkeypatch.setattr(oracle_mod, "_SOLVER", Recording())
     return calls

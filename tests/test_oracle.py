@@ -4,9 +4,14 @@ import bisect
 import cmath
 import csv
 import dataclasses
+import gc
 import io
 import math
 import re
+import sys
+import threading
+import types
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,11 +46,19 @@ def count(symmetry, a, q):
     return oracle_mod._grid_defects(symmetry, [a], q)[1][0]
 
 
-def failed_integration(*args, **kwargs):
-    """Stand-in for solve_ivp that reports a failure."""
-    class Failed:
-        success, message = False, "step size too small"
-    return Failed()
+class FailedIntegration:
+    """Stand-in for the oracle's ode instance whose integration fails."""
+
+    _integrator = SimpleNamespace(messages={-3: "step size too small"})
+
+    def set_initial_value(self, y):
+        return self
+
+    def integrate(self, x):
+        return None
+
+    def get_return_code(self):
+        return -3
 
 
 def never_crosses(symmetry, grid, q):
@@ -133,7 +146,7 @@ class TestDefect:
                 assert f_a == pytest.approx(alone, rel=1e-8, abs=1e-10), (symmetry, a)
 
     def test_failed_integration_names_the_grid_and_family(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
+        monkeypatch.setattr(oracle_mod, "_SOLVER", FailedIntegration())
         with pytest.raises(IntegrationError, match=r"a in \[1\.5, 1\.75\], q=2\.0 \(odd-pi\): "
                                                    r"step size too small"):
             oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
@@ -218,23 +231,41 @@ class TestOscillationCount:
     def test_too_long_a_step_raises(self, monkeypatch):
         # One step over [0, pi/2] at a = 4: zeros of cos(2x) lie pi/2 apart,
         # so a step of pi/2 could cross two and the count would be unproven.
-        def one_step(rhs, span, y0, **kwargs):
-            return SimpleNamespace(success=True, t=np.array(span), y=np.stack([y0, y0], axis=1))
+        class OneStep:
+            def set_initial_value(self, y):
+                self.y = y
+                return self
 
-        monkeypatch.setattr(oracle_mod, "solve_ivp", one_step)
+            def integrate(self, x):
+                for step in (0.0, x):
+                    oracle_mod._keep_step(step, self.y)
+                return self.y
+
+            def get_return_code(self):
+                return 1
+
+        monkeypatch.setattr(oracle_mod, "_SOLVER", OneStep())
         with pytest.raises(IntegrationError, match=r"a in \[4\.0, 4\.0\], q=0\.0 \(even-pi\) "
                                                    r"times sqrt\(a \+ 2q\) is 3\.14, not below pi"):
             oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [4.0], 0.0)
 
     def test_non_finite_end_state_raises(self, monkeypatch):
-        real = oracle_mod.solve_ivp
+        real = oracle_mod._SOLVER
 
-        def overflowed(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            sol.y[0, -1] = math.inf
-            return sol
+        class Overflowed:
+            def __getattr__(self, name):
+                return getattr(real, name)
 
-        monkeypatch.setattr(oracle_mod, "solve_ivp", overflowed)
+            def set_initial_value(self, y):
+                real.set_initial_value(y)
+                return self
+
+            def integrate(self, x):
+                end = real.integrate(x)
+                end[0] = math.inf
+                return end
+
+        monkeypatch.setattr(oracle_mod, "_SOLVER", Overflowed())
         with pytest.raises(IntegrationError, match=r"ends in a non-finite state"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
@@ -383,7 +414,7 @@ class TestRefinement:
 
     def test_failed_integration_names_the_window(self, monkeypatch):
         # a0(1) ~ -0.455, so the window is [-0.830, -0.080].
-        monkeypatch.setattr(oracle_mod, "solve_ivp", failed_integration)
+        monkeypatch.setattr(oracle_mod, "_SOLVER", FailedIntegration())
         with pytest.raises(IntegrationError, match=r"a in \[-0\.8301\d*, -0\.0801\d*\], q=1\.0"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
@@ -430,6 +461,71 @@ class TestRefinement:
         # the fit's root is returned.
         value = oracle_char_value(symmetry, m, q, tol=tol)
         assert abs(value - char_value(symmetry, m, q).value) < 1e-9
+
+
+class TestSharedSolver:
+    """The one DOP853 instance and its callbacks, shared by every call."""
+
+    def test_no_grid_outlives_its_call(self):
+        # scipy's dop853 wrapper keeps a reference to each callback it is
+        # given, so a callback closing over the grid would keep it alive.
+        grid = np.linspace(-1.0, 1.0, oracle_mod.CHEB_POINTS)
+        alive = weakref.ref(grid)
+        oracle_mod._grid_defects(SymmetryClass.EVEN_PI, grid, 1.0)
+        del grid
+        gc.collect()
+        assert alive() is None
+
+    def test_no_bound_method_left_per_call(self):
+        # The wrapper keeps its solout, a method bound at each reset unless
+        # bound once, so each call would leave one behind.
+        def methods():
+            gc.collect()
+            return sum(isinstance(o, types.MethodType) for o in gc.get_objects())
+
+        oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
+        before = methods()
+        for _ in range(20):
+            oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
+        assert methods() == before
+
+    def test_threads_get_the_sequential_values(self):
+        # Two threads switching every 10 microseconds, inside the callbacks
+        # too: without the lock one call's steps would read another's batch.
+        cases = [(symmetry, symmetry.first_order + 2 * rank, 17.47)
+                 for symmetry in ALL for rank in range(9)]
+        expected = [oracle_char_value(*case) for case in cases]
+        results = [None] * 2
+
+        def run(i):
+            results[i] = [oracle_char_value(*case) for case in cases]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(results)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failure_under_warnings_as_errors(self, monkeypatch):
+        # ode reports a failed integration as a UserWarning, here an exception.
+        monkeypatch.setattr(oracle_mod._SOLVER._integrator, "nsteps", 10)
+        with pytest.raises(IntegrationError, match=r"a in \[0\.5, 1\.5\], q=1\.0 \(even-pi\): "
+                                                   r"larger nsteps is needed"):
+            oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [0.5, 1.5], 1.0)
+
+    def test_failure_under_default_warnings(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod._SOLVER._integrator, "nsteps", 10)
+        with pytest.warns(UserWarning, match="larger nsteps is needed"):
+            with pytest.raises(IntegrationError, match=r"\(even-pi\): larger nsteps is needed"):
+                oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [0.5, 1.5], 1.0)
 
 
 class TestProperties:
