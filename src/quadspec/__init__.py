@@ -42,6 +42,7 @@ from .model import (
     radial_alpha,
     to_mathieu,
 )
+from .oracle import oracle_char_value
 
 __version__ = "0.1.0"
 
@@ -79,11 +80,3 @@ __all__ = [
     "to_mathieu",
 ]
 
-
-def __getattr__(name):
-    # The oracle loads scipy.integrate, which only `char --oracle` needs (PEP 562);
-    # every other exported name is imported above, so only its names reach here.
-    if name in __all__:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

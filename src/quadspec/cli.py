@@ -19,6 +19,7 @@ from .criticality import critical_table, log_gap, pairing_gap
 from .errors import SolverError
 from .mathieu import DEFAULT_TOL, char_value, parse_label
 from .model import _open_count, classify_channels, to_mathieu
+from .oracle import oracle_char_value
 
 
 def _format_value(value) -> str:
@@ -58,7 +59,6 @@ def _cmd_char(args):
         "truncation": cv.truncation,
     }
     if args.oracle:
-        from .oracle import oracle_char_value  # loads scipy.integrate, needed only here
         reference = oracle_char_value(symmetry, order, q, args.tol)
         row["oracle_value"] = reference
         row["discrepancy"] = cv.value - reference

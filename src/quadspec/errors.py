@@ -14,4 +14,4 @@ class BracketError(SolverError):
 
 
 class IntegrationError(SolverError):
-    """The ODE integrator failed to reach the end of the interval."""
+    """The shooting propagation overflowed, could miss a zero of y or did not converge."""

@@ -26,23 +26,12 @@ def eigensolves(monkeypatch):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(rtol, (components, accepted steps)) of every integration the oracle makes, in order."""
-    real, calls = oracle_mod._SOLVER, []
+    """(points, steps) of every oracle._grid_defects(symmetry, grid, q, steps) call, in order."""
+    real, calls = oracle_mod._grid_defects, []
 
-    class Recording:
-        """The oracle's ode instance, recording each integration."""
+    def recording(symmetry, grid, q, steps):
+        calls.append((len(grid), steps))
+        return real(symmetry, grid, q, steps)
 
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-        def set_initial_value(self, y):
-            real.set_initial_value(y)
-            return self
-
-        def integrate(self, x):
-            end = real.integrate(x)
-            calls.append((real._integrator.rtol, (end.size, len(oracle_mod._batch["t"]))))
-            return end
-
-    monkeypatch.setattr(oracle_mod, "_SOLVER", Recording())
+    monkeypatch.setattr(oracle_mod, "_grid_defects", recording)
     return calls

@@ -44,20 +44,22 @@ def usage_error(capsys, *argv):
     return capsys.readouterr()
 
 
-# `table --max-pairs N` for N = 1, 2, 3 as `python -m quadspec.cli` runs it, each
-# building its parser anew, then the imports; importing first makes runpy warn.
+# `table --max-pairs N` for N = 1, 2, 3 and `char --label a3 --q 17.47 --oracle` as
+# `python -m quadspec.cli` runs them, each building its parser anew, then the
+# imports; importing first makes runpy warn.
 FRESH_SCRIPT = """
 import contextlib, io, json, runpy, sys
-def table(pairs):
-    sys.argv, out, err = ["quadspec", "table", "--max-pairs", pairs], io.StringIO(), io.StringIO()
+def run(*argv):
+    sys.argv, out, err = ["quadspec", *argv], io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             runpy.run_module("quadspec.cli", run_name="__main__", alter_sys=True)
         except SystemExit as stop:
             return [stop.code, out.getvalue(), err.getvalue()]
-facts = {"table": {pairs: table(pairs) for pairs in "123"}}
+facts = {"table": {pairs: run("table", "--max-pairs", pairs) for pairs in "123"},
+         "oracle": run("char", "--label", "a3", "--q", "17.47", "--oracle")}
 import quadspec, quadspec.cli
-facts["oracle_loaded"] = "scipy.integrate" in sys.modules
+facts["integrate_loaded"] = "scipy.integrate" in sys.modules
 facts["parsers_built"] = quadspec.cli.build_parser.cache_info().currsize
 star = {}
 exec("from quadspec import *", star)
@@ -388,7 +390,7 @@ class TestExitCodes:
         assert "usage:" not in err
 
     def test_oracle_past_its_cap_exits_2(self, capsys, monkeypatch):
-        def never(symmetry, grid, q):
+        def never(symmetry, grid, q, steps):
             raise AssertionError(f"a grid of {len(grid)} points was integrated")
 
         monkeypatch.setattr(oracle_mod, "_grid_defects", never)
@@ -399,10 +401,13 @@ class TestExitCodes:
         rows = parse_csv(fresh_run(fresh, "1"))
         assert rows[0]["eigenvalue_label"] == "a0"
 
-    def test_import_leaves_the_oracle_unloaded(self, fresh):
-        # Only `char --oracle` needs scipy.integrate; the package resolves the
-        # oracle's names on first use, and a star import still binds them.
-        assert not fresh["oracle_loaded"], "loaded at import"
+    def test_the_oracle_runs_without_scipy_integrate(self, fresh):
+        # The oracle propagates in numpy and loads with the package; even after
+        # `char --oracle` ran, scipy.integrate is not loaded, and a star import
+        # binds every exported name.
+        code, out, err = fresh["oracle"]
+        assert (code, err) == (0, "") and parse_csv(out)[0]["label"] == "a3"
+        assert not fresh["integrate_loaded"], "scipy.integrate loaded"
         assert fresh["star_binds_all"] and fresh["oracle_bound"]
 
 

@@ -10,7 +10,6 @@ import math
 import re
 import sys
 import threading
-import types
 import weakref
 from types import SimpleNamespace
 
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadspec import (
+    DEFAULT_TOL,
     BracketError,
     IntegrationError,
     SymmetryClass,
@@ -34,34 +34,22 @@ ALL = list(SymmetryClass)
 LOW_ORDERS = [(symmetry, m) for symmetry in ALL for m in range(symmetry.first_order, 7, 2)]
 #: Strengths of the window and refinement tests, 0.74070554 near a1's zero.
 QS = [0.0, 0.74070554, 17.47, 40.0]
+#: Magnus steps of the propagations these tests make themselves, where the
+#: oracle stops most of its values.
+STEPS = 512
 
 
 def defect(symmetry, a, q):
-    """The defect at one a, from its own integration with its own step control."""
-    return oracle_mod._grid_defects(symmetry, [a], q)[0][0]
+    """The defect at one a, from its own propagation."""
+    return oracle_mod._grid_defects(symmetry, [a], q, STEPS)[0][0]
 
 
 def count(symmetry, a, q):
-    """The oscillation count at one a, from its own integration."""
-    return oracle_mod._grid_defects(symmetry, [a], q)[1][0]
+    """The oscillation count at one a, from its own propagation."""
+    return oracle_mod._grid_defects(symmetry, [a], q, STEPS)[1][0]
 
 
-class FailedIntegration:
-    """Stand-in for the oracle's ode instance whose integration fails."""
-
-    _integrator = SimpleNamespace(messages={-3: "step size too small"})
-
-    def set_initial_value(self, y):
-        return self
-
-    def integrate(self, x):
-        return None
-
-    def get_return_code(self):
-        return -3
-
-
-def never_crosses(symmetry, grid, q):
+def never_crosses(symmetry, grid, q, steps):
     """Stand-in for _grid_defects: a positive defect and a zero count everywhere."""
     return [1.0] * len(grid), [0] * len(grid)
 
@@ -112,6 +100,16 @@ class TestAgreementWithRecurrence:
                 ref = oracle_char_value(symmetry, m, q)
                 assert abs(mine - ref) < 1e-9, (symmetry, m, q)
 
+    @pytest.mark.parametrize("symmetry,m", [
+        (SymmetryClass.EVEN_PI, 80),
+        (SymmetryClass.EVEN_2PI, 127),
+        (SymmetryClass.ODD_PI, 126),
+    ])
+    def test_high_orders_at_q0(self, symmetry, m):
+        # At q = 0 each Magnus step is exact, so only rounding separates the
+        # oracle from m^2, even at the cap's order 127.
+        assert abs(oracle_char_value(symmetry, m, 0.0) - char_value(symmetry, m, 0.0).value) < 1e-11
+
 
 def free_defect(symmetry, a):
     """The defect at q = 0, where the trial solution is cos(hx) or sin(hx)/h with h^2 = a."""
@@ -130,26 +128,28 @@ class TestDefect:
         # At q = 0 the equation is y'' + a y = 0; a < 0 gives the cosh/sinh
         # solutions through the imaginary h.
         grid = [-3.0, -0.5, 0.3, 2.7, 11.1, 30.2]
-        f, _ = oracle_mod._grid_defects(symmetry, grid, 0.0)
+        f, _ = oracle_mod._grid_defects(symmetry, grid, 0.0, STEPS)
         for a, f_a in zip(grid, f):
             assert f_a == pytest.approx(free_defect(symmetry, a), rel=1e-9, abs=1e-10), a
 
     def test_batch_matches_one_point_at_a_time(self):
-        # One integration of the whole grid gives each a's own defect: the
-        # shared step control only tightens what each trial solution gets.
+        # One propagation of the whole grid gives each a's own defect: the
+        # trial solutions share only the steps.
         grid = [-3.0, 0.3, 2.7, 11.1]
         for symmetry in ALL:
-            batch, _ = oracle_mod._grid_defects(symmetry, grid, 17.47)
+            batch, _ = oracle_mod._grid_defects(symmetry, grid, 17.47, STEPS)
             assert len(batch) == len(grid)
             for a, f_a in zip(grid, batch):
                 alone = defect(symmetry, a, 17.47)
                 assert f_a == pytest.approx(alone, rel=1e-8, abs=1e-10), (symmetry, a)
 
-    def test_failed_integration_names_the_grid_and_family(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_SOLVER", FailedIntegration())
-        with pytest.raises(IntegrationError, match=r"a in \[1\.5, 1\.75\], q=2\.0 \(odd-pi\): "
-                                                   r"step size too small"):
-            oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
+    @pytest.mark.filterwarnings("error")
+    def test_failed_integration_names_the_grid_and_family(self):
+        # At a = -1e6 the trial solutions grow like e^(1000 x), past e^709 by
+        # pi/2; the overflow is an IntegrationError under any warning filter.
+        with pytest.raises(IntegrationError, match=r"a in \[-1000000\.0, 1\.75\], q=2\.0 "
+                                                   r"\(odd-pi\) ends in a non-finite state"):
+            oracle_mod._grid_defects(SymmetryClass.ODD_PI, [-1e6, 1.75], 2.0, STEPS)
 
     @pytest.mark.parametrize("q", QS)
     def test_positive_below_the_spectrum(self, q):
@@ -189,14 +189,14 @@ class TestOscillationCount:
         # and q log-uniform in [1e-12, 2000] or 0.
         lambdas, expected = lambdas_and_counts(symmetry, rank, q)
         assert expected[-2:] == [rank, rank + 1]
-        _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q)
+        _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q, STEPS)
         assert counts == sorted(expected), (symmetry, rank, q)
 
     @pytest.mark.parametrize("symmetry", ALL)
     def test_batch_count_matches_each_point_alone(self, symmetry):
         lambdas, expected = lambdas_and_counts(symmetry, 5, 17.47)
         grid = sorted(lambdas)
-        _, counts = oracle_mod._grid_defects(symmetry, grid, 17.47)
+        _, counts = oracle_mod._grid_defects(symmetry, grid, 17.47, STEPS)
         assert counts == [count(symmetry, a, 17.47) for a in grid] == sorted(expected)
 
     @pytest.mark.parametrize("symmetry", ALL)
@@ -210,7 +210,7 @@ class TestOscillationCount:
                 rank = symmetry.rank_of(m)
                 mid = char_value(symmetry, m, q).value
                 f, counts = oracle_mod._grid_defects(
-                    symmetry, [mid - oracle_mod.WINDOW, mid + oracle_mod.WINDOW], q)
+                    symmetry, [mid - oracle_mod.WINDOW, mid + oracle_mod.WINDOW], q, STEPS)
                 assert counts == [rank, rank + 1], (m, counts)
                 sign = 1.0 if rank % 2 == 0 else -1.0
                 assert sign * f[0] > 0.0 > sign * f[1], (m, f)
@@ -228,44 +228,16 @@ class TestOscillationCount:
         # squared wavenumber, is below m^2 + 4q + WINDOW, under the cap's bound.
         assert count(symmetry, m * m + 2.0 * q + oracle_mod.WINDOW, q) >= symmetry.rank_of(m) + 1
 
-    def test_too_long_a_step_raises(self, monkeypatch):
-        # One step over [0, pi/2] at a = 4: zeros of cos(2x) lie pi/2 apart,
-        # so a step of pi/2 could cross two and the count would be unproven.
-        class OneStep:
-            def set_initial_value(self, y):
-                self.y = y
-                return self
-
-            def integrate(self, x):
-                for step in (0.0, x):
-                    oracle_mod._keep_step(step, self.y)
-                return self.y
-
-            def get_return_code(self):
-                return 1
-
-        monkeypatch.setattr(oracle_mod, "_SOLVER", OneStep())
+    def test_too_long_a_step_raises(self):
+        # One block over [0, pi/2] at a = 4: zeros of cos(2x) lie pi/2 apart,
+        # so a block of pi/2 could cross two and the count would be unproven.
         with pytest.raises(IntegrationError, match=r"a in \[4\.0, 4\.0\], q=0\.0 \(even-pi\) "
                                                    r"times sqrt\(a \+ 2q\) is 3\.14, not below pi"):
-            oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [4.0], 0.0)
+            oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [4.0], 0.0, 1)
 
     def test_non_finite_end_state_raises(self, monkeypatch):
-        real = oracle_mod._SOLVER
-
-        class Overflowed:
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-            def set_initial_value(self, y):
-                real.set_initial_value(y)
-                return self
-
-            def integrate(self, x):
-                end = real.integrate(x)
-                end[0] = math.inf
-                return end
-
-        monkeypatch.setattr(oracle_mod, "_SOLVER", Overflowed())
+        # A window about a = -1e6, where the trial solutions overflow.
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(-1e6))
         with pytest.raises(IntegrationError, match=r"ends in a non-finite state"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
@@ -370,38 +342,58 @@ class TestNeverAgreement:
         assert abs(value - char_value(symmetry, m, q).value) < 1e-12 * abs(value)
 
 
+def recording_fits(monkeypatch):
+    """The coefficients of every Chebyshev fit the oracle makes, in order."""
+    real, fits = oracle_mod.chebfit, []
+
+    def recording(*args):
+        fits.append(real(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(oracle_mod, "chebfit", recording)
+    return fits
+
+
+def window_root(coefficients):
+    """The one real root in [-1, 1] of a Chebyshev series."""
+    (root,) = [r.real for r in np.polynomial.chebyshev.chebroots(coefficients)
+               if r.imag == 0.0 and -1.0 <= r.real <= 1.0]
+    return root
+
+
 class TestRefinement:
-    def test_one_integration_per_value(self, integrations):
-        # Counts, defects and the Chebyshev fit all come from one batched
-        # tight-tolerance integration that keeps its accepted steps.
+    def test_steps_double_until_two_roots_agree(self, monkeypatch, integrations):
+        # Each propagation batches the CHEB_POINTS trial solutions, its steps
+        # doubling from 128; the value is the later root of the first two
+        # successive ones that agree within DEFAULT_TOL * max(1, |a|).
+        fits = recording_fits(monkeypatch)
         for q in QS:
             for symmetry, m in LOW_ORDERS:
                 integrations.clear()
-                oracle_char_value(symmetry, m, q)
-                assert [rtol for rtol, _ in integrations] == [oracle_mod.FINE_RTOL]
-                (_, (rows, steps)), = integrations
-                assert rows == 2 * oracle_mod.CHEB_POINTS and steps > 2, (symmetry, m, q)
+                fits.clear()
+                value = oracle_char_value(symmetry, m, q)
+                points, steps = zip(*integrations)
+                assert set(points) == {oracle_mod.CHEB_POINTS}
+                assert steps == tuple(128 << k for k in range(len(steps))), (symmetry, m, q)
+                mid = char_value(symmetry, m, q).value
+                roots = [mid + oracle_mod.WINDOW * window_root(fit) for fit in fits]
+                assert len(roots) == len(steps) >= 2 and roots[-1] == value
+                agree = [abs(later - earlier) <= DEFAULT_TOL * max(1.0, abs(later))
+                         for earlier, later in zip(roots, roots[1:])]
+                assert agree == [False] * (len(agree) - 1) + [True], (symmetry, m, q, roots)
 
     @pytest.mark.parametrize("symmetry", ALL)
     @pytest.mark.parametrize("q", QS)
     def test_chebyshev_points_resolve_the_window(self, monkeypatch, symmetry, q):
-        # The interpolant's last two coefficients are below 1e-12 of its
+        # The last interpolant's last two coefficients are below 1e-12 of its
         # largest: CHEB_POINTS resolve the defect on the window to its
-        # integration noise, so the fit's root is the defect's.
-        real = oracle_mod.chebfit
-        fits = []
-
-        def recording(*args):
-            fits.append(real(*args))
-            return fits[-1]
-
-        monkeypatch.setattr(oracle_mod, "chebfit", recording)
+        # propagation noise, so the fit's root is the defect's.
+        fits = recording_fits(monkeypatch)
         for family, m in LOW_ORDERS:
             if family is symmetry:
                 fits.clear()
                 oracle_char_value(symmetry, m, q)
-                coefficients = np.abs(fits[0])
-                assert len(fits) == 1
+                coefficients = np.abs(fits[-1])
                 assert coefficients.size == oracle_mod.CHEB_POINTS
                 assert coefficients[-2:].max() < 1e-12 * coefficients.max(), (m, coefficients)
 
@@ -413,18 +405,22 @@ class TestRefinement:
         assert oracle_char_value(SymmetryClass.EVEN_PI, m, 0.0) == pytest.approx(m * m, rel=1e-11)
 
     def test_failed_integration_names_the_window(self, monkeypatch):
-        # a0(1) ~ -0.455, so the window is [-0.830, -0.080].
-        monkeypatch.setattr(oracle_mod, "_SOLVER", FailedIntegration())
-        with pytest.raises(IntegrationError, match=r"a in \[-0\.8301\d*, -0\.0801\d*\], q=1\.0"):
-            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
+        # a3(17.47) ~ 16.2, so the window is [15.826, 16.576]; its roots at 128
+        # and 256 steps differ by more than 1.6e-11, and the cap stops there.
+        monkeypatch.setattr(oracle_mod, "_MAX_STEPS", 256)
+        with pytest.raises(IntegrationError, match=r"the roots at 128 and 256 steps, 16\.20057\d* "
+                                                   r"and 16\.20057\d*, do not agree, in a within "
+                                                   r"\[15\.8255\d*, 16\.5755\d*\] for even-2pi "
+                                                   r"order 3 at q=17\.47"):
+            oracle_char_value(SymmetryClass.EVEN_2PI, 3, 17.47)
 
     def test_window_without_a_sign_change_names_the_window(self, monkeypatch):
         # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
         # the window [4.75, 5.5]; counts made to pass let the sign check fire.
         real = oracle_mod._grid_defects
 
-        def counted_as_rank_0(symmetry, grid, q):
-            f, _ = real(symmetry, grid, q)
+        def counted_as_rank_0(symmetry, grid, q, steps):
+            f, _ = real(symmetry, grid, q, steps)
             return f, [0] * (len(grid) - 1) + [1]
 
         monkeypatch.setattr(oracle_mod, "char_value", centred_on(5.125))
@@ -438,8 +434,8 @@ class TestRefinement:
         # through it, as rank 0 needs, but with three roots, not one.
         real = oracle_mod._grid_defects
 
-        def three_roots(symmetry, grid, q):
-            _, counts = real(symmetry, grid, q)
+        def three_roots(symmetry, grid, q, steps):
+            _, counts = real(symmetry, grid, q, steps)
             x = (2.0 * np.asarray(grid) - grid[0] - grid[-1]) / (grid[-1] - grid[0])
             return (-x * (x * x - 0.25)).tolist(), counts
 
@@ -457,41 +453,26 @@ class TestRefinement:
     ])
     def test_tol_below_the_noise_floor(self, symmetry, m, q, tol):
         # The defect cannot resolve a to 1e-15, let alone 1e-300; the accuracy
-        # is FINE_RTOL's, the window is char_value's at the default tol, and
-        # the fit's root is returned.
+        # is the stop rule's, the window is char_value's at the default tol,
+        # and the last fit's root is returned.
         value = oracle_char_value(symmetry, m, q, tol=tol)
         assert abs(value - char_value(symmetry, m, q).value) < 1e-9
 
 
-class TestSharedSolver:
-    """The one DOP853 instance and its callbacks, shared by every call."""
+class TestNoSharedState:
+    """Every call propagates its own arrays, so calls share nothing."""
 
     def test_no_grid_outlives_its_call(self):
-        # scipy's dop853 wrapper keeps a reference to each callback it is
-        # given, so a callback closing over the grid would keep it alive.
         grid = np.linspace(-1.0, 1.0, oracle_mod.CHEB_POINTS)
         alive = weakref.ref(grid)
-        oracle_mod._grid_defects(SymmetryClass.EVEN_PI, grid, 1.0)
+        oracle_mod._grid_defects(SymmetryClass.EVEN_PI, grid, 1.0, STEPS)
         del grid
         gc.collect()
         assert alive() is None
 
-    def test_no_bound_method_left_per_call(self):
-        # The wrapper keeps its solout, a method bound at each reset unless
-        # bound once, so each call would leave one behind.
-        def methods():
-            gc.collect()
-            return sum(isinstance(o, types.MethodType) for o in gc.get_objects())
-
-        oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
-        before = methods()
-        for _ in range(20):
-            oracle_mod._grid_defects(SymmetryClass.ODD_PI, [1.5, 1.75], 2.0)
-        assert methods() == before
-
     def test_threads_get_the_sequential_values(self):
-        # Two threads switching every 10 microseconds, inside the callbacks
-        # too: without the lock one call's steps would read another's batch.
+        # Two threads switching every 10 microseconds, inside the propagations
+        # too, each get the values one thread gets alone.
         cases = [(symmetry, symmetry.first_order + 2 * rank, 17.47)
                  for symmetry in ALL for rank in range(9)]
         expected = [oracle_char_value(*case) for case in cases]
@@ -512,20 +493,6 @@ class TestSharedSolver:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * len(results)
-
-    @pytest.mark.filterwarnings("error")
-    def test_failure_under_warnings_as_errors(self, monkeypatch):
-        # ode reports a failed integration as a UserWarning, here an exception.
-        monkeypatch.setattr(oracle_mod._SOLVER._integrator, "nsteps", 10)
-        with pytest.raises(IntegrationError, match=r"a in \[0\.5, 1\.5\], q=1\.0 \(even-pi\): "
-                                                   r"larger nsteps is needed"):
-            oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [0.5, 1.5], 1.0)
-
-    def test_failure_under_default_warnings(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod._SOLVER._integrator, "nsteps", 10)
-        with pytest.warns(UserWarning, match="larger nsteps is needed"):
-            with pytest.raises(IntegrationError, match=r"\(even-pi\): larger nsteps is needed"):
-                oracle_mod._grid_defects(SymmetryClass.EVEN_PI, [0.5, 1.5], 1.0)
 
 
 class TestProperties:
