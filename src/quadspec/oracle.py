@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebpts2, chebroots
+from numpy.polynomial.chebyshev import chebpts2, chebroots, chebvander
 
 from .errors import BracketError, IntegrationError
 from .mathieu import DEFAULT_TOL, SymmetryClass, _validate, char_value
@@ -44,13 +44,18 @@ WINDOW = 0.375
 #: window the fit's last two coefficients are below 1e-12 of its largest
 #: for m <= 6, q <= 40.
 CHEB_POINTS = 16
+# The interpolant's Chebyshev coefficients from its values f at those points are _FIT @ f,
+# the DCT-I 2 T_j(x_k) / (CHEB_POINTS - 1) with the first and last j and k halved.
+_FIT = chebvander(chebpts2(CHEB_POINTS), CHEB_POINTS - 1).T * (2.0 / (CHEB_POINTS - 1))
+_FIT[[0, -1]] /= 2.0
+_FIT[:, [0, -1]] /= 2.0
 # Cap on sqrt(m^2 + 4q + 1), which bounds the trial solutions' wavenumber
 # sqrt(a + 2q) on the window since a_m(q) <= m^2 + 2q (min-max): a0 up to
 # q = 4095.75 or a127 at q = 0.
 _MAX_WAVENUMBER = 128.0
-# Blocks at whose ends y is read for the counts, and a value's first steps: a block
-# of pi/256 holds one zero of y at most below wavenumber 256, twice the cap.
-_BLOCKS = 128
+# Steps made at once, to bound memory, and a value's first steps.  Each chunk is
+# multiplied pairwise into its share of the blocks at whose ends y is read.
+_CHUNK = 128
 _MAX_STEPS = 2**14  # at which two roots that still disagree are an IntegrationError
 _NODES = tuple(0.5 + k * math.sqrt(15.0) / 10.0 for k in (-1, 0, 1))  # Gauss nodes of a step
 
@@ -72,26 +77,32 @@ def _grid_defects(symmetry, grid, q, steps):
     alpha2 = u F and alpha3 = w F, from V at its Gauss nodes, u and w free of a; their
     commutators make Omega = oe E + of F + oh H, of and oh affine in V2.  Omega^2 = d I,
     so exp(Omega) = C I + S Omega with C = cosh sqrt(d) and S = sinh sqrt(d) / sqrt(d), or
-    cos and sin of sqrt(-d) for d < 0.  The ``steps``, a power of two, are made _BLOCKS at
-    a time, to bound memory, and multiplied pairwise into _BLOCKS blocks; their prefix
-    products by doubling (Hillis & Steele, CACM 29, 1170 (1986)) give y at each block end.
+    cos and sin of sqrt(-d) for d < 0.  The ``steps``, a power of two, are made _CHUNK at
+    a time, to bound memory, and each chunk is multiplied pairwise into its share of the
+    blocks; their prefix products by doubling (Hillis & Steele, CACM 29, 1170 (1986)) give
+    y at each block end.
 
     The count N(a), the number of the family's values below a, is the sign changes from
     y(0) >= 0 over y at the block ends and then the defect; a zero counts as non-negative.
-    Zeros of y lie at least pi / sqrt(a + 2q) apart (Sturm comparison), so a block shorter
-    than that for the grid's largest a crosses at most one and the counts are exact; a
-    longer one is an IntegrationError, as is a non-finite end state.
+    Zeros of y lie at least pi / k apart, k = sqrt(a + 2q) (Sturm comparison), so a block
+    shorter than that for the grid's largest a crosses at most one and the counts are
+    exact; a longer one is an IntegrationError, as is a non-finite end state.  The blocks
+    are the least power of two >= k, at least one per chunk and at most ``steps``: a block
+    is then at most half the least spacing of zeros, and the cap's k = 128 takes 128.
     """
     a = np.asarray(grid, dtype=float)
-    h, blocks, parts = _HALF_PI / steps, min(steps, _BLOCKS), []
+    h, chunk, parts = _HALF_PI / steps, min(steps, _CHUNK), []
     where = f"a in [{grid[0]}, {grid[-1]}], q={q} ({symmetry.cli_name})"
-    phase = _HALF_PI / blocks * math.sqrt(max(a.max() + 2.0 * q, 0.0))
+    wavenumber, blocks = math.sqrt(max(a.max() + 2.0 * q, 0.0)), max(1, steps // _CHUNK)
+    while blocks < min(wavenumber, steps):
+        blocks *= 2
+    phase = _HALF_PI / blocks * wavenumber
     if not phase < math.pi:
         raise IntegrationError(f"the longest block for {where} times sqrt(a + 2q) is "
                                f"{phase:.3g}, not below pi, so it may cross two zeros of y")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        for first in range(0, steps, blocks):
-            v1, v2, v3 = 2.0 * q * np.cos(2.0 * h * (first + np.arange(blocks)[:, None] + _NODES)).T
+        for first in range(0, steps, chunk):
+            v1, v2, v3 = 2.0 * q * np.cos(2.0 * h * (first + np.arange(chunk)[:, None] + _NODES)).T
             u = math.sqrt(15.0) / 3.0 * h * (v3 - v1)
             w = 10.0 / 3.0 * h * (v3 - 2.0 * v2 + v1)
             v = v2 - a[:, None]
@@ -103,9 +114,8 @@ def _grid_defects(symmetry, grid, q, steps):
             r = np.sqrt(np.abs(d))
             c = np.where(d > 0.0, np.cosh(r), np.cos(r))
             s = np.where(r > 0.0, np.where(d > 0.0, np.sinh(r), np.sin(r)) / r, 1.0)
-            omega = np.stack((oh, np.broadcast_to(oe, d.shape), of, -oh)).reshape(2, 2, *d.shape)
-            p = c * np.eye(2)[:, :, None, None] + s * omega
-            while p.shape[-1] * steps > blocks * blocks:
+            p = np.stack((c + s * oh, s * oe, s * of, c - s * oh)).reshape(2, 2, *d.shape)
+            while p.shape[-1] * steps > blocks * chunk:
                 p = _product(p[..., 1::2], p[..., 0::2])
             parts.append(p)
         p, shift = np.concatenate(parts, axis=-1), 1
@@ -132,7 +142,7 @@ def oracle_char_value(
     the window, both ends among them.  The counts at the ends must be the
     rank of m and one more, so that the window holds this order's value and
     no other; its root is the one real root in the window of the defect's
-    Chebyshev interpolant.  The steps double from _BLOCKS until two roots
+    Chebyshev interpolant.  The steps double from _CHUNK until two roots
     agree, an IntegrationError past _MAX_STEPS.  ``tol`` is validated but the
     accuracy is set by this rule.  A wavenumber bound sqrt(m^2 + 4q + 1) above
     _MAX_WAVENUMBER is a ValueError, raised before any eigensolve or propagation.
@@ -152,7 +162,7 @@ def oracle_char_value(
     # simple root, so just below the rank-th root its sign is (-1)**rank;
     # the counts imply this, and the fit needs it of the defects themselves.
     sign = 1.0 if rank % 2 == 0 else -1.0
-    steps, last = _BLOCKS, math.nan
+    steps, last = _CHUNK, math.nan
     while True:
         f, counts = _grid_defects(symmetry, mid + WINDOW * x, q, steps)
         if counts[0] != rank or counts[-1] != rank + 1:
@@ -161,7 +171,7 @@ def oracle_char_value(
         if not (sign * f[0] > 0.0 > sign * f[-1]):
             raise BracketError(f"the defect does not change sign from {f[0]} to {f[-1]} "
                                f"as order {m} needs, {where}")
-        roots = chebroots(chebfit(x, f, CHEB_POINTS - 1))
+        roots = chebroots(_FIT @ f)
         roots = [r.real for r in roots if r.imag == 0.0 and -1.0 <= r.real <= 1.0]
         if len(roots) != 1:
             raise BracketError(f"the Chebyshev fit has {len(roots)} real roots, not one, {where}")

@@ -110,6 +110,13 @@ class TestAgreementWithRecurrence:
         # oracle from m^2, even at the cap's order 127.
         assert abs(oracle_char_value(symmetry, m, 0.0) - char_value(symmetry, m, 0.0).value) < 1e-11
 
+    @pytest.mark.parametrize("q", [0.0, 0.1, 0.3])
+    def test_a0_at_small_strengths(self, q):
+        # The window's wavenumber is below 1 here, so a propagation counts at
+        # its fewest blocks: one per 128-step chunk.
+        value = oracle_char_value(SymmetryClass.EVEN_PI, 0, q)
+        assert abs(value - char_value(SymmetryClass.EVEN_PI, 0, q).value) < 1e-13
+
 
 def free_defect(symmetry, a):
     """The defect at q = 0, where the trial solution is cos(hx) or sin(hx)/h with h^2 = a."""
@@ -142,6 +149,18 @@ class TestDefect:
             for a, f_a in zip(grid, batch):
                 alone = defect(symmetry, a, 17.47)
                 assert f_a == pytest.approx(alone, rel=1e-8, abs=1e-10), (symmetry, a)
+
+    def test_one_block_per_chunk(self):
+        # About a0(0.1) the wavenumber is below 1, so 128 steps count at one
+        # block and 512 at four, one for each 128-step chunk: both propagate
+        # every point to a finite end and count alike.
+        mid = char_value(SymmetryClass.EVEN_PI, 0, 0.1).value
+        grid = mid + oracle_mod.WINDOW * np.polynomial.chebyshev.chebpts2(oracle_mod.CHEB_POINTS)
+        coarse, coarse_counts = oracle_mod._grid_defects(SymmetryClass.EVEN_PI, grid, 0.1, 128)
+        f, counts = oracle_mod._grid_defects(SymmetryClass.EVEN_PI, grid, 0.1, STEPS)
+        assert len(f) == len(grid) and np.isfinite(f).all()
+        assert f == pytest.approx(coarse, rel=1e-12, abs=1e-14)
+        assert counts == coarse_counts == [0] * 8 + [1] * 8
 
     @pytest.mark.filterwarnings("error")
     def test_failed_integration_names_the_grid_and_family(self):
@@ -191,6 +210,22 @@ class TestOscillationCount:
         assert expected[-2:] == [rank, rank + 1]
         _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q, STEPS)
         assert counts == sorted(expected), (symmetry, rank, q)
+
+    @pytest.mark.parametrize("symmetry,rank,q", [
+        (SymmetryClass.EVEN_2PI, 7, 0.0),
+        (SymmetryClass.EVEN_PI, 7, 15.001),
+        (SymmetryClass.ODD_2PI, 31, 0.0),
+        (SymmetryClass.ODD_PI, 30, 66.817),
+    ])
+    def test_wavenumber_just_past_a_power_of_two(self, symmetry, rank, q):
+        # The blocks are the least power of two at or above the grid's largest
+        # wavenumber sqrt(a + 2q), here just past 16 or 64: 32 or 128 blocks,
+        # each within half the least spacing of zeros, still count exactly.
+        lambdas, expected = lambdas_and_counts(symmetry, rank, q)
+        wavenumber = math.sqrt(max(lambdas) + 2.0 * q)
+        assert any(bound < wavenumber < 1.01 * bound for bound in (16.0, 64.0)), wavenumber
+        _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q, STEPS)
+        assert counts == sorted(expected)
 
     @pytest.mark.parametrize("symmetry", ALL)
     def test_batch_count_matches_each_point_alone(self, symmetry):
@@ -343,14 +378,15 @@ class TestNeverAgreement:
 
 
 def recording_fits(monkeypatch):
-    """The coefficients of every Chebyshev fit the oracle makes, in order."""
-    real, fits = oracle_mod.chebfit, []
+    """The coefficients of every Chebyshev fit the oracle makes, in order, as its
+    root finder receives them."""
+    real, fits = oracle_mod.chebroots, []
 
-    def recording(*args):
-        fits.append(real(*args))
-        return fits[-1]
+    def recording(coefficients):
+        fits.append(coefficients)
+        return real(coefficients)
 
-    monkeypatch.setattr(oracle_mod, "chebfit", recording)
+    monkeypatch.setattr(oracle_mod, "chebroots", recording)
     return fits
 
 
@@ -396,6 +432,15 @@ class TestRefinement:
                 coefficients = np.abs(fits[-1])
                 assert coefficients.size == oracle_mod.CHEB_POINTS
                 assert coefficients[-2:].max() < 1e-12 * coefficients.max(), (m, coefficients)
+
+    def test_fit_matrix_interpolates(self):
+        # At the CHEB_POINTS Chebyshev points the degree CHEB_POINTS - 1 least
+        # squares fit interpolates, so one fixed matrix gives its coefficients.
+        x = np.polynomial.chebyshev.chebpts2(oracle_mod.CHEB_POINTS)
+        rng = np.random.default_rng(0)
+        for f in rng.standard_normal((100, oracle_mod.CHEB_POINTS)):
+            fit = np.polynomial.chebyshev.chebfit(x, f, oracle_mod.CHEB_POINTS - 1)
+            assert np.abs(oracle_mod._FIT @ f - fit).max() < 1e-13 * np.abs(fit).max()
 
     @pytest.mark.parametrize("m", [128, 200])
     def test_large_value_converges(self, monkeypatch, m):
