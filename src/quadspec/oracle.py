@@ -46,7 +46,8 @@ WINDOW = 0.375
 CHEB_POINTS = 16
 # The interpolant's Chebyshev coefficients from its values f at those points are _FIT @ f,
 # the DCT-I 2 T_j(x_k) / (CHEB_POINTS - 1) with the first and last j and k halved.
-_FIT = chebvander(chebpts2(CHEB_POINTS), CHEB_POINTS - 1).T * (2.0 / (CHEB_POINTS - 1))
+_X = chebpts2(CHEB_POINTS)
+_FIT = chebvander(_X, CHEB_POINTS - 1).T * (2.0 / (CHEB_POINTS - 1))
 _FIT[[0, -1]] /= 2.0
 _FIT[:, [0, -1]] /= 2.0
 # Cap on sqrt(m^2 + 4q + 1), which bounds the trial solutions' wavenumber
@@ -58,6 +59,8 @@ _MAX_WAVENUMBER = 128.0
 _CHUNK = 128
 _MAX_STEPS = 2**14  # at which two roots that still disagree are an IntegrationError
 _NODES = tuple(0.5 + k * math.sqrt(15.0) / 10.0 for k in (-1, 0, 1))  # Gauss nodes of a step
+# 1/(2k)! and 1/(2k + 1)!, _exp_terms' series, for k <= 16: at |d| <= 16 term 16 is below 2^-53.
+_SERIES = [(1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)) for k in range(17)]
 
 # Terminal condition at pi/2: True means y'(pi/2) = 0, as for cos(hx) with even h and
 # sin(hx) with odd h, False y(pi/2) = 0; with the start condition's parity it picks the family.
@@ -69,18 +72,40 @@ def _product(later, earlier):
     return later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
 
 
+def _exp_terms(d):
+    """C and S of exp(Omega) = C I + S Omega, Omega^2 = d I, at each d of an array: the
+    series C = sum d^k / (2k)! and S = sum d^k / (2k + 1)!, for either sign of d, cut
+    before their first term below 2^-53 at the largest |d|.  Past |d| = 16 they are
+    summed at d / 4^n, Omega / 2^n, and n squarings (C, S, d) -> (C^2 + S^2 d, C S, 4d)
+    take them back to d."""
+    top = float(np.abs(d).max())
+    halvings = max(0, (math.frexp(top)[1] - 3) // 2)
+    d, top = d * 0.25**halvings, top * 0.25**halvings
+    terms = next((k for k in range(1, len(_SERIES)) if top**k * _SERIES[k][0] < 2.0**-53),
+                 len(_SERIES))
+    c, s = (np.full_like(d, coefficient) for coefficient in _SERIES[terms - 1])
+    for c_k, s_k in reversed(_SERIES[:terms - 1]):
+        c *= d
+        c += c_k
+        s *= d
+        s += s_k
+    for _ in range(halvings):
+        c, s, d = c * c + s * s * d, c * s, 4.0 * d
+    return c, s
+
+
 def _grid_defects(symmetry, grid, q, steps):
     """Defects and oscillation counts at every a of ``grid`` from ``steps`` Magnus steps.
 
     (y, y')' = [[0, 1], [V, 0]] (y, y') with V = 2q cos 2x - a.  In E = [[0, 1], [0, 0]],
     F = [[0, 0], [1, 0]] and H = diag(1, -1) a step's Magnus terms are alpha1 = h (E + V2 F),
     alpha2 = u F and alpha3 = w F, from V at its Gauss nodes, u and w free of a; their
-    commutators make Omega = oe E + of F + oh H, of and oh affine in V2.  Omega^2 = d I,
-    so exp(Omega) = C I + S Omega with C = cosh sqrt(d) and S = sinh sqrt(d) / sqrt(d), or
-    cos and sin of sqrt(-d) for d < 0.  The ``steps``, a power of two, are made _CHUNK at
-    a time, to bound memory, and each chunk is multiplied pairwise into its share of the
-    blocks; their prefix products by doubling (Hillis & Steele, CACM 29, 1170 (1986)) give
-    y at each block end.
+    commutators make Omega = oe E + of F + oh H, of and oh affine in V2 - a, and what is
+    free of a is computed once.  Omega^2 = d I, so exp(Omega) = C I + S Omega, C and S
+    from :func:`_exp_terms`.  The ``steps``, a power of two, are made _CHUNK at a time, to
+    bound memory, and each chunk is multiplied pairwise into its share of the blocks;
+    their prefix products by doubling (Hillis & Steele, CACM 29, 1170 (1986)) give y at
+    each block end.
 
     The count N(a), the number of the family's values below a, is the sign changes from
     y(0) >= 0 over y at the block ends and then the defect; a zero counts as non-negative.
@@ -90,42 +115,48 @@ def _grid_defects(symmetry, grid, q, steps):
     are the least power of two >= k, at least one per chunk and at most ``steps``: a block
     is then at most half the least spacing of zeros, and the cap's k = 128 takes 128.
     """
-    a = np.asarray(grid, dtype=float)
-    h, chunk, parts = _HALF_PI / steps, min(steps, _CHUNK), []
-    where = f"a in [{grid[0]}, {grid[-1]}], q={q} ({symmetry.cli_name})"
+    a, h, chunk = np.asarray(grid, dtype=float)[:, None], _HALF_PI / steps, min(steps, _CHUNK)
     wavenumber, blocks = math.sqrt(max(a.max() + 2.0 * q, 0.0)), max(1, steps // _CHUNK)
     while blocks < min(wavenumber, steps):
         blocks *= 2
     phase = _HALF_PI / blocks * wavenumber
     if not phase < math.pi:
-        raise IntegrationError(f"the longest block for {where} times sqrt(a + 2q) is "
-                               f"{phase:.3g}, not below pi, so it may cross two zeros of y")
+        raise IntegrationError(f"the longest block for a in [{grid[0]}, {grid[-1]}], q={q} "
+                               f"({symmetry.cli_name}) times sqrt(a + 2q) is {phase:.3g}, not "
+                               f"below pi, so it may cross two zeros of y")
+    v1, v2, v3 = 2.0 * q * np.cos(2.0 * h * (np.arange(steps)[:, None] + _NODES)).T
+    u = math.sqrt(15.0) / 3.0 * h * (v3 - v1)
+    w = 10.0 / 3.0 * h * (v3 - 2.0 * v2 + v1)
+    oe = h + h * h * (h * u * u / 15.0 - 4.0 / 3.0 * w) / 240.0
+    # of = v f1 + f0 and oh = v h1 + h0 in v = V2 - a.
+    f1 = h + h * h * (4.0 / 3.0 * w + h * u * u / 15.0) / 240.0
+    f0 = w / 12.0 + h * (w * w / 15.0 - 2.0 * u * u) / 240.0
+    h1, h0 = u * h**3 / 180.0, u * (h * h * w / 7200.0 - h / 12.0)
+    p, ends = np.empty((2, 2, len(a), chunk)), np.empty((2, 2, len(a), blocks))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         for first in range(0, steps, chunk):
-            v1, v2, v3 = 2.0 * q * np.cos(2.0 * h * (first + np.arange(chunk)[:, None] + _NODES)).T
-            u = math.sqrt(15.0) / 3.0 * h * (v3 - v1)
-            w = 10.0 / 3.0 * h * (v3 - 2.0 * v2 + v1)
-            v = v2 - a[:, None]
-            oe = h + h * h * (h * u * u / 15.0 - 4.0 / 3.0 * w) / 240.0
-            of = v * (h + h * h * (4.0 / 3.0 * w + h * u * u / 15.0) / 240.0) \
-                + w / 12.0 + h * (w * w / 15.0 - 2.0 * u * u) / 240.0
-            oh = u * (v * h**3 / 180.0 + h * h * w / 7200.0 - h / 12.0)
-            d = oh * oh + oe * of
-            r = np.sqrt(np.abs(d))
-            c = np.where(d > 0.0, np.cosh(r), np.cos(r))
-            s = np.where(r > 0.0, np.where(d > 0.0, np.sinh(r), np.sin(r)) / r, 1.0)
-            p = np.stack((c + s * oh, s * oe, s * of, c - s * oh)).reshape(2, 2, *d.shape)
-            while p.shape[-1] * steps > blocks * chunk:
-                p = _product(p[..., 1::2], p[..., 0::2])
-            parts.append(p)
-        p, shift = np.concatenate(parts, axis=-1), 1
+            now = slice(first, first + chunk)
+            v = v2[now] - a
+            of, oh = v * f1[now] + f0[now], v * h1[now] + h0[now]
+            c, s = _exp_terms(oh * oh + oe[now] * of)
+            oh *= s
+            np.add(c, oh, out=p[0, 0])
+            np.multiply(s, oe[now], out=p[0, 1])
+            np.multiply(s, of, out=p[1, 0])
+            np.subtract(c, oh, out=p[1, 1])
+            block = p
+            while block.shape[-1] * steps > blocks * chunk:
+                block = _product(block[..., 1::2], block[..., 0::2])
+            ends[..., first * blocks // steps:(first + chunk) * blocks // steps] = block
+        shift = 1
         while shift < blocks:
-            p[..., shift:] = _product(p[..., shift:], p[..., :-shift])
+            ends[..., shift:] = _product(ends[..., shift:], ends[..., :-shift])
             shift *= 2
     # y(0) = 1 or y'(0) = 1 picks the propagators' first or second column.
-    y, dy = p[:, 0 if symmetry.parity == "even" else 1]
+    y, dy = ends[:, 0 if symmetry.parity == "even" else 1]
     if not (np.isfinite(y[:, -1]).all() and np.isfinite(dy[:, -1]).all()):
-        raise IntegrationError(f"the propagation for {where} ends in a non-finite state")
+        raise IntegrationError(f"the propagation for a in [{grid[0]}, {grid[-1]}], q={q} "
+                               f"({symmetry.cli_name}) ends in a non-finite state")
     defects = (dy if _TERMINAL_IS_DERIVATIVE[symmetry] else y)[:, -1]
     below = np.column_stack((y, defects)) < 0.0
     return defects.tolist(), np.count_nonzero(np.diff(below, prepend=False), axis=1).tolist()
@@ -155,7 +186,6 @@ def oracle_char_value(
                          f"{_MAX_WAVENUMBER:g}")
 
     mid = char_value(symmetry, m, q).value
-    x = chebpts2(CHEB_POINTS)
     where = (f"in a within [{mid - WINDOW}, {mid + WINDOW}] for {symmetry.cli_name} "
              f"order {m} at q={q}")
     # The defect is positive below the spectrum and changes sign at each
@@ -164,7 +194,7 @@ def oracle_char_value(
     sign = 1.0 if rank % 2 == 0 else -1.0
     steps, last = _CHUNK, math.nan
     while True:
-        f, counts = _grid_defects(symmetry, mid + WINDOW * x, q, steps)
+        f, counts = _grid_defects(symmetry, mid + WINDOW * _X, q, steps)
         if counts[0] != rank or counts[-1] != rank + 1:
             raise BracketError(f"the oscillation counts at the window's ends are {counts[0]} "
                                f"and {counts[-1]}, not {rank} and {rank + 1}, {where}")

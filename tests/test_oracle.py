@@ -37,6 +37,9 @@ QS = [0.0, 0.74070554, 17.47, 40.0]
 #: Magnus steps of the propagations these tests make themselves, where the
 #: oracle stops most of its values.
 STEPS = 512
+#: q = 0 or log-uniform in [1e-12, 2000], where the steps and |d| are largest.
+STRENGTHS = st.one_of(st.just(0.0), st.floats(-12.0, math.log10(2000.0)).map(
+    lambda exponent: min(10.0**exponent, 2000.0)))
 
 
 def defect(symmetry, a, q):
@@ -116,6 +119,35 @@ class TestAgreementWithRecurrence:
         # its fewest blocks: one per 128-step chunk.
         value = oracle_char_value(SymmetryClass.EVEN_PI, 0, q)
         assert abs(value - char_value(SymmetryClass.EVEN_PI, 0, q).value) < 1e-13
+
+
+def reference_exp_terms(d):
+    """Reference for oracle._exp_terms: C = cosh sqrt(d) and S = sinh sqrt(d) / sqrt(d),
+    or cos and sin of sqrt(-d) for d < 0, the closed form its series replaces."""
+    r = np.sqrt(np.abs(d))
+    c = np.where(d > 0.0, np.cosh(r), np.cos(r))
+    with np.errstate(invalid="ignore"):  # sin(0) / 0, which np.where drops
+        s = np.where(r > 0.0, np.where(d > 0.0, np.sinh(r), np.sin(r)) / r, 1.0)
+    return c, s
+
+
+class TestExpTerms:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-math.pi**2, 200.0), min_size=1, max_size=8))
+    def test_matches_the_closed_form(self, ds):
+        # Down to -pi^2, the least d a step under the block guard reaches, and up
+        # to 200.  The closed form is itself ~5 ulps off at d = 200 (cosh of a
+        # rounded sqrt), the series' squarings ~4 more; each d shares its
+        # array's scaling.
+        d = np.array(ds)
+        for got, want in zip(oracle_mod._exp_terms(d), reference_exp_terms(d)):
+            assert (np.abs(got - want) <= 16.0 * np.finfo(float).eps
+                    * np.maximum(1.0, np.abs(want))).all(), (d, got, want)
+
+    @pytest.mark.parametrize("ds", [[0.0], [0.0, 150.0, -9.0], [0.0, 1e-300, -0.02]])
+    def test_zero_is_exact(self, ds):
+        c, s = oracle_mod._exp_terms(np.array(ds))
+        assert (c[0], s[0]) == (1.0, 1.0)
 
 
 def free_defect(symmetry, a):
@@ -199,9 +231,7 @@ def lambdas_and_counts(symmetry, rank, q):
 
 class TestOscillationCount:
     @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from(ALL), st.integers(0, 40),
-           st.one_of(st.just(0.0), st.floats(-12.0, math.log10(2000.0)).map(
-               lambda exponent: min(10.0**exponent, 2000.0))))
+    @given(st.sampled_from(ALL), st.integers(0, 40), STRENGTHS)
     def test_counts_the_values_below(self, symmetry, rank, q):
         # N(a) is the number of the family's values below a, midway between
         # consecutive ones and at the window ends, for any family, rank <= 40
@@ -541,10 +571,15 @@ class TestNoSharedState:
 
 
 class TestProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from(LOW_ORDERS), st.floats(0.0, 40.0))
-    def test_oracle_agrees_with_recurrence(self, mode, q):
-        symmetry, m = mode
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(LOW_ORDERS), st.floats(0.0, 40.0)),
+        st.tuples(st.builds(lambda symmetry, rank: (symmetry, symmetry.order_at(rank)),
+                            st.sampled_from(ALL), st.integers(0, 40)), STRENGTHS)))
+    def test_oracle_agrees_with_recurrence(self, case):
+        # Orders m <= 6 at q <= 40, as oracle_verify asks, or any family at rank
+        # <= 40 and q = 0 or log-uniform in [1e-12, 2000].
+        (symmetry, m), q = case
         assert abs(char_value(symmetry, m, q).value - oracle_char_value(symmetry, m, q)) < 1e-9
 
     @settings(max_examples=10, deadline=None)
