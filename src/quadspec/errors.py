@@ -10,7 +10,7 @@ class ConvergenceError(SolverError):
 
 
 class BracketError(SolverError):
-    """A sign-change scan found no root, or the refinement's bracket did not hold exactly one."""
+    """Shooting window-end counts not rank and rank + 1, or a fit with other than one real root."""
 
 
 class IntegrationError(SolverError):

@@ -108,12 +108,13 @@ def _grid_defects(symmetry, grid, q, steps):
     each block end.
 
     The count N(a), the number of the family's values below a, is the sign changes from
-    y(0) >= 0 over y at the block ends and then the defect; a zero counts as non-negative.
-    Zeros of y lie at least pi / k apart, k = sqrt(a + 2q) (Sturm comparison), so a block
-    shorter than that for the grid's largest a crosses at most one and the counts are
-    exact; a longer one is an IntegrationError, as is a non-finite end state.  The blocks
-    are the least power of two >= k, at least one per chunk and at most ``steps``: a block
-    is then at most half the least spacing of zeros, and the cap's k = 128 takes 128.
+    y(0) >= 0 over y at the block ends and then the defect; a zero counts as non-negative, so
+    N(a) is odd exactly where the defect is negative.  Zeros of y lie at least pi / k apart,
+    k = sqrt(a + 2q) (Sturm comparison), so a block shorter than that for the grid's largest a
+    crosses at most one and the counts are exact; a longer one is an IntegrationError, as is a
+    non-finite end state.  The blocks are the least power of two >= k, at least one per chunk
+    and at most ``steps``: a block is then at most half the least spacing of zeros, and the
+    cap's k = 128 takes 128.
     """
     a, h, chunk = np.asarray(grid, dtype=float)[:, None], _HALF_PI / steps, min(steps, _CHUNK)
     wavenumber, blocks = math.sqrt(max(a.max() + 2.0 * q, 0.0)), max(1, steps // _CHUNK)
@@ -167,16 +168,15 @@ def oracle_char_value(
 ) -> float:
     """Characteristic value of order m located by shooting.
 
-    The window is WINDOW either side of char_value's value at DEFAULT_TOL,
-    not at ``tol``: it need be right only to WINDOW.  Each propagation gives
-    the defect and the oscillation count at CHEB_POINTS Chebyshev points of
-    the window, both ends among them.  The counts at the ends must be the
-    rank of m and one more, so that the window holds this order's value and
-    no other; its root is the one real root in the window of the defect's
-    Chebyshev interpolant.  The steps double from _CHUNK until two roots
-    agree, an IntegrationError past _MAX_STEPS.  ``tol`` is validated but the
-    accuracy is set by this rule.  A wavenumber bound sqrt(m^2 + 4q + 1) above
-    _MAX_WAVENUMBER is a ValueError, raised before any eigensolve or propagation.
+    The window is WINDOW either side of char_value's value at DEFAULT_TOL, not at ``tol``: it
+    need be right only to WINDOW.  Each propagation gives the defect and the oscillation count
+    at CHEB_POINTS Chebyshev points of the window, both ends among them, and is checked three
+    ways.  The counts at the ends must be the rank of m and one more, so that the window holds
+    this order's value and no other (their parity fixes the defect's signs there); the defect's
+    Chebyshev interpolant must have one real root in the window, the value; and the steps
+    double from _CHUNK until two roots agree, an IntegrationError past _MAX_STEPS.  ``tol`` is
+    validated but the accuracy is set by this rule.  A wavenumber bound sqrt(m^2 + 4q + 1)
+    above _MAX_WAVENUMBER is a ValueError, raised before any eigensolve or propagation.
     """
     rank = _validate(symmetry, m, q, tol)
     wavenumber = math.sqrt(m * m + 4.0 * q + 1.0)
@@ -188,19 +188,12 @@ def oracle_char_value(
     mid = char_value(symmetry, m, q).value
     where = (f"in a within [{mid - WINDOW}, {mid + WINDOW}] for {symmetry.cli_name} "
              f"order {m} at q={q}")
-    # The defect is positive below the spectrum and changes sign at each
-    # simple root, so just below the rank-th root its sign is (-1)**rank;
-    # the counts imply this, and the fit needs it of the defects themselves.
-    sign = 1.0 if rank % 2 == 0 else -1.0
     steps, last = _CHUNK, math.nan
     while True:
         f, counts = _grid_defects(symmetry, mid + WINDOW * _X, q, steps)
         if counts[0] != rank or counts[-1] != rank + 1:
             raise BracketError(f"the oscillation counts at the window's ends are {counts[0]} "
                                f"and {counts[-1]}, not {rank} and {rank + 1}, {where}")
-        if not (sign * f[0] > 0.0 > sign * f[-1]):
-            raise BracketError(f"the defect does not change sign from {f[0]} to {f[-1]} "
-                               f"as order {m} needs, {where}")
         roots = chebroots(_FIT @ f)
         roots = [r.real for r in roots if r.imag == 0.0 and -1.0 <= r.real <= 1.0]
         if len(roots) != 1:

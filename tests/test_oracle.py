@@ -62,6 +62,17 @@ def centred_on(value):
     return lambda *args: SimpleNamespace(value=value)
 
 
+def counted_as_rank_0(grid, f, counts):
+    """The defects f with window-end counts forged as 0 and 1."""
+    return f, [0] * (len(grid) - 1) + [1]
+
+
+def three_roots(grid, f, counts):
+    """The counts with the defects forged as -x(x^2 - 1/4), x the grid mapped to [-1, 1]."""
+    x = (2.0 * np.asarray(grid) - grid[0] - grid[-1]) / (grid[-1] - grid[0])
+    return (-x * (x * x - 0.25)).tolist(), counts
+
+
 class TestTrivialPoints:
     @pytest.mark.parametrize(
         "symmetry,m,expected",
@@ -204,8 +215,8 @@ class TestDefect:
 
     @pytest.mark.parametrize("q", QS)
     def test_positive_below_the_spectrum(self, q):
-        # The refinement's sign rule rests on this: below a_0 or b_1 the
-        # trial solution does not oscillate and the defect is positive.
+        # The counts' parity fixes the defect's sign from here: below a_0 or
+        # b_1 the trial solution does not oscillate, N(a) = 0 and the defect is positive.
         for symmetry in ALL:
             assert defect(symmetry, -2.0 * q - 1.0, q) > 0.0, symmetry
 
@@ -238,8 +249,11 @@ class TestOscillationCount:
         # and q log-uniform in [1e-12, 2000] or 0.
         lambdas, expected = lambdas_and_counts(symmetry, rank, q)
         assert expected[-2:] == [rank, rank + 1]
-        _, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q, STEPS)
+        f, counts = oracle_mod._grid_defects(symmetry, sorted(lambdas), q, STEPS)
         assert counts == sorted(expected), (symmetry, rank, q)
+        # A zero counts as non-negative, so a count is odd exactly where the
+        # defect is negative: the counts at the oracle's window ends fix its signs.
+        assert [d < 0 for d in f] == [c % 2 == 1 for c in counts], (symmetry, rank, q, f)
 
     @pytest.mark.parametrize("symmetry,rank,q", [
         (SymmetryClass.EVEN_2PI, 7, 0.0),
@@ -269,7 +283,7 @@ class TestOscillationCount:
     def test_window_ends_count_rank_and_one_more(self, symmetry, q):
         # About each order's recurrence value the window's ends count rank and
         # rank + 1, and the defect falls through zero from the sign (-1)**rank
-        # the refinement checks, for every order m <= 6 of the family.
+        # that the counts' parity implies, for every order m <= 6 of the family.
         for family, m in LOW_ORDERS:
             if family is symmetry:
                 rank = symmetry.rank_of(m)
@@ -489,35 +503,25 @@ class TestRefinement:
                                                    r"order 3 at q=17\.47"):
             oracle_char_value(SymmetryClass.EVEN_2PI, 3, 17.47)
 
-    def test_window_without_a_sign_change_names_the_window(self, monkeypatch):
-        # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on
-        # the window [4.75, 5.5]; counts made to pass let the sign check fire.
-        real = oracle_mod._grid_defects
-
-        def counted_as_rank_0(symmetry, grid, q, steps):
-            f, _ = real(symmetry, grid, q, steps)
-            return f, [0] * (len(grid) - 1) + [1]
-
-        monkeypatch.setattr(oracle_mod, "char_value", centred_on(5.125))
-        monkeypatch.setattr(oracle_mod, "_grid_defects", counted_as_rank_0)
-        with pytest.raises(BracketError, match=r"does not change sign .* within \[4\.75, 5\.5\] "
-                                               r"for even-pi order 0 at q=1\.0"):
-            oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
-
-    def test_fit_with_three_roots_names_the_window(self, monkeypatch):
+    @pytest.mark.parametrize("centre,forge,roots,window", [
+        # a0 ~ -0.455 and a2 ~ 4.37 at q = 1, so the defect keeps one sign on the
+        # window [4.75, 5.5]; counts forged as rank 0's pass, and the fit has no root.
+        pytest.param(5.125, counted_as_rank_0, 0, r"\[4\.75, 5\.5\]", id="0_roots"),
         # A defect -x(x^2 - 1/4) in the window's coordinate x in [-1, 1] falls
         # through it, as rank 0 needs, but with three roots, not one.
+        pytest.param(-0.375, three_roots, 3, r"\[-0\.75, 0\.0\]", id="3_roots"),
+    ])
+    def test_fit_without_one_root_names_the_window(self, monkeypatch, centre, forge, roots,
+                                                   window):
         real = oracle_mod._grid_defects
 
-        def three_roots(symmetry, grid, q, steps):
-            _, counts = real(symmetry, grid, q, steps)
-            x = (2.0 * np.asarray(grid) - grid[0] - grid[-1]) / (grid[-1] - grid[0])
-            return (-x * (x * x - 0.25)).tolist(), counts
+        def forged(symmetry, grid, q, steps):
+            return forge(grid, *real(symmetry, grid, q, steps))
 
-        monkeypatch.setattr(oracle_mod, "char_value", centred_on(-0.375))
-        monkeypatch.setattr(oracle_mod, "_grid_defects", three_roots)
-        with pytest.raises(BracketError, match=r"has 3 real roots, not one, in a within "
-                                               r"\[-0\.75, 0\.0\] for even-pi order 0 at q=1\.0"):
+        monkeypatch.setattr(oracle_mod, "char_value", centred_on(centre))
+        monkeypatch.setattr(oracle_mod, "_grid_defects", forged)
+        with pytest.raises(BracketError, match=rf"has {roots} real roots, not one, in a within "
+                                               rf"{window} for even-pi order 0 at q=1\.0"):
             oracle_char_value(SymmetryClass.EVEN_PI, 0, 1.0)
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-300])
